@@ -28,16 +28,12 @@ STATICCHECK_VERSION := 2025.1.1
 # Static checks: stock go vet, then the project's own eight analyzers —
 # the intraprocedural four (maporder, walltime, hotalloc, deferclose; see
 # DESIGN.md §9) plus the interprocedural four (hotpathprop, persistguard,
-# errflow, gosafety; DESIGN.md §14) — first standalone (one module-wide
-# summary table), then through the go vet vettool protocol (per-package
-# .vetx summary facts), then staticcheck when installed (skipped, not
-# failed, in hermetic environments with no module cache).
+# errflow, gosafety; DESIGN.md §14) over one module-wide summary table —
+# then staticcheck when installed (skipped, not failed, in hermetic
+# environments with no module cache).
 lint:
 	$(GO) vet $(PKGS)
 	$(GO) run ./cmd/thynvm-lint $(PKGS)
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o $$tmp/thynvm-lint ./cmd/thynvm-lint && \
-	$(GO) vet -vettool=$$tmp/thynvm-lint $(PKGS)
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck $(PKGS); \
 	else \

@@ -8,26 +8,23 @@
 // compile time; the golden tests then only ever confirm what the checker
 // already proved.
 //
-// Standalone mode loads every matched package first and computes the
-// module-wide per-function summary table once (DESIGN.md §14), so the
-// interprocedural analyzers see the whole call graph regardless of which
-// package they are visiting.
+// The tool loads every matched package first and computes the module-wide
+// per-function summary table once (DESIGN.md §14), so the interprocedural
+// analyzers see the whole call graph regardless of which package they are
+// visiting.
 //
 // Usage:
 //
 //	thynvm-lint [packages]          # default: ./...
 //	thynvm-lint -list               # print the analyzers and exit
 //	thynvm-lint -report [packages]  # findings + escape-hatch audit
-//	go vet -vettool=$(which thynvm-lint) ./...
 //
 // -report additionally prints per-directive counts and fails (exit 1) on
 // stale allow-* directives that no longer suppress any finding, unknown
 // directive names, and allow-* directives missing a reason.
 //
-// Standalone exit status: 0 clean, 1 findings (or type errors), 2 usage or
-// load failure. Under go vet the unitchecker-style protocol is used
-// instead, with summaries flowing between package units as .vetx facts
-// (see vettool.go).
+// Exit status: 0 clean, 1 findings (or type errors), 2 usage or load
+// failure.
 package main
 
 import (
@@ -35,7 +32,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 
 	"thynvm/internal/analysis"
 	"thynvm/internal/analysis/load"
@@ -46,23 +42,6 @@ func main() {
 }
 
 func run(args []string) int {
-	// go vet probes the tool with -V=full and -flags, then invokes it
-	// with a single *.cfg argument; everything else is standalone mode.
-	if len(args) == 1 {
-		switch {
-		case strings.HasPrefix(args[0], "-V"):
-			// The full output is go's build-cache fingerprint for vet
-			// results; bump the version when analyzer behavior changes.
-			fmt.Printf("thynvm-lint version thynvm-lint-v2.0.0\n")
-			return 0
-		case args[0] == "-flags":
-			fmt.Println("[]")
-			return 0
-		case strings.HasSuffix(args[0], ".cfg"):
-			return runVetTool(args[0])
-		}
-	}
-
 	fs := flag.NewFlagSet("thynvm-lint", flag.ContinueOnError)
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	report := fs.Bool("report", false, "audit //thynvm: directives after the run (stale/unknown directives are errors)")
@@ -92,7 +71,7 @@ func run(args []string) int {
 	for i, pkg := range pkgs {
 		units[i] = analysis.SummaryUnit{Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info}
 	}
-	sums := analysis.ComputeSummaries(units, nil)
+	sums := analysis.ComputeSummaries(units)
 	audit := analysis.NewDirectiveAudit()
 
 	failed := false

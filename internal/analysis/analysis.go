@@ -28,7 +28,7 @@
 //
 // Marker directives classify code rather than suppress findings:
 // //thynvm:hotpath in a function's doc comment opts the function into the
-// hotalloc and hotpathprop checks, //thynvm:guard-raise marks a
+// hotalloc and hotpathprop checks, the guard-raise marker names the
 // generation-safety-guard raise primitive, and //thynvm:destroys-generation
 // <what> classifies a write (or a whole function) as destroying an older
 // checkpoint generation's image, obliging a dominating guard raise
@@ -93,7 +93,7 @@ func (p *Pass) summaries() *Summaries {
 	if p.Summaries == nil {
 		p.Summaries = ComputeSummaries([]SummaryUnit{{
 			Fset: p.Fset, Files: p.Files, Pkg: p.Pkg, Info: p.TypesInfo,
-		}}, nil)
+		}})
 	}
 	return p.Summaries
 }

@@ -19,7 +19,7 @@ import (
 //     function, moving the obligation to every call site.
 //
 // Raise capability comes from the summaries: a function whose doc comment
-// carries //thynvm:guard-raise, or that may transitively call one, counts
+// carries the guard-raise marker, or that may transitively call one, counts
 // as a raise. Dominance is judged on a structured source-order walk from
 // the function entry to the destructive site: any call to a raise-capable
 // function encountered before the site satisfies the obligation, including
@@ -35,7 +35,7 @@ import (
 var PersistGuard = &Analyzer{
 	Name: "persistguard",
 	Doc: "require every //thynvm:destroys-generation write to be dominated by a " +
-		"//thynvm:guard-raise call on the walk from function entry",
+		"guard-raise call on the walk from function entry",
 	Run: runPersistGuard,
 }
 

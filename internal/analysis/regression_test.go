@@ -33,7 +33,7 @@ func TestSeededRegressions(t *testing.T) {
 	copyModule(t, "../..", dir)
 
 	mutate(t, filepath.Join(dir, "internal", "baseline", "shadow.go"),
-		"gd = s.guard.raise(s.nvm, now, now, s.seq-1)",
+		"gd = s.meta.Guard.Raise(s.nvm, now, now, s.seq-1)",
 		"gd = 0")
 	mutate(t, filepath.Join(dir, "internal", "mem", "backing.go"),
 		"if err := s.Sync(); err != nil {\n\t\treturn err\n\t}",

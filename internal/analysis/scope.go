@@ -14,6 +14,7 @@ var simPackages = []string{
 	"thynvm/internal/cache",
 	"thynvm/internal/sim",
 	"thynvm/internal/baseline",
+	"thynvm/internal/commit",
 	"thynvm/internal/ctl",
 	"thynvm/internal/obs",
 	"thynvm/internal/trace",

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -18,9 +17,8 @@ import (
 // other module functions. Facts then propagate bottom-up over the call
 // graph's strongly connected components, so a caller inherits what its
 // callees may do, transitively, without any analyzer re-walking callee
-// bodies. The table is computed once per driver run and shared by all
-// analyzers through Pass.Summaries; under `go vet -vettool` it round-trips
-// through the .vetx fact files instead (cmd/thynvm-lint/vettool.go).
+// bodies. The table is computed once per lint run over the whole module
+// and shared by all analyzers through Pass.Summaries.
 
 // moduleName is this module's import-path root; only calls into module
 // packages get summary edges (standard-library bodies are not loaded).
@@ -36,38 +34,39 @@ func InModule(path string) bool {
 // only ever raises them, so the bottom-up SCC pass reaches a fixpoint.
 type FuncSummary struct {
 	// Marker-directive classification (doc comment).
-	HotPath     bool `json:"hotpath,omitempty"`
-	GuardRaiser bool `json:"guard_raiser,omitempty"`
-	DestroysGen bool `json:"destroys_generation,omitempty"`
+	HotPath     bool
+	GuardRaiser bool
+	DestroysGen bool
 	// DestroysWhat is the //thynvm:destroys-generation description when
 	// the whole function is classified destructive.
-	DestroysWhat string `json:"destroys_what,omitempty"`
+	DestroysWhat string
 
 	// Allocates: the body (or a transitive callee) contains a heap
 	// allocation not sanctioned by //thynvm:allow-alloc. AllocWhat/AllocPos
 	// witness the direct site; AllocVia is the callee key the allocation is
 	// reached through ("" when direct).
-	Allocates bool   `json:"allocates,omitempty"`
-	AllocWhat string `json:"alloc_what,omitempty"`
-	AllocPos  string `json:"alloc_pos,omitempty"`
-	AllocVia  string `json:"alloc_via,omitempty"`
+	Allocates bool
+	AllocWhat string
+	AllocPos  string
+	AllocVia  string
 
-	// RaisesGuard: the function is a //thynvm:guard-raise primitive or may
-	// call one. TouchesDurable: it may call a durability-critical primitive
-	// (Sync/Close/Snapshot/... on an internal/mem type, or the NVM image's
-	// os.File/msync path). ReturnsDurableErr: it has an error result and
-	// that error may carry a durability-critical primitive's error.
-	RaisesGuard       bool `json:"raises_guard,omitempty"`
-	TouchesDurable    bool `json:"touches_durable,omitempty"`
-	ReturnsDurableErr bool `json:"returns_durable_err,omitempty"`
+	// RaisesGuard: the function is a guard-raise primitive (its doc comment
+	// carries the marker directive) or may call one. TouchesDurable: it may
+	// call a durability-critical primitive (Sync/Close/Snapshot/... on an
+	// internal/mem type, or the NVM image's os.File/msync path).
+	// ReturnsDurableErr: it has an error result and that error may carry a
+	// durability-critical primitive's error.
+	RaisesGuard       bool
+	TouchesDurable    bool
+	ReturnsDurableErr bool
 
 	// HasErrorResult gates ReturnsDurableErr propagation.
-	HasErrorResult bool `json:"has_error_result,omitempty"`
+	HasErrorResult bool
 
 	// Calls lists the summary keys of module-internal functions the body
 	// statically calls (sorted, deduplicated; interface dispatch has no
 	// static callee and is not recorded).
-	Calls []string `json:"calls,omitempty"`
+	Calls []string
 }
 
 // Summaries is a module-wide (or, for fixtures, package-wide) summary table
@@ -106,41 +105,6 @@ func (s *Summaries) Keys() []string {
 	return keys
 }
 
-// EncodeJSON serializes the table for a .vetx fact file.
-func (s *Summaries) EncodeJSON() ([]byte, error) {
-	if s == nil {
-		return []byte("{}"), nil
-	}
-	return json.Marshal(s.m)
-}
-
-// DecodeSummariesJSON parses a fact file produced by EncodeJSON.
-func DecodeSummariesJSON(data []byte) (*Summaries, error) {
-	m := make(map[string]*FuncSummary)
-	if len(data) > 0 {
-		if err := json.Unmarshal(data, &m); err != nil {
-			return nil, fmt.Errorf("analysis: decoding summary facts: %v", err)
-		}
-	}
-	return &Summaries{m: m}, nil
-}
-
-// Merge folds o's entries into s (o wins on collisions) and returns s.
-func (s *Summaries) Merge(o *Summaries) *Summaries {
-	if s == nil {
-		s = &Summaries{m: make(map[string]*FuncSummary)}
-	}
-	if s.m == nil {
-		s.m = make(map[string]*FuncSummary)
-	}
-	if o != nil {
-		for k, v := range o.m {
-			s.m[k] = v
-		}
-	}
-	return s
-}
-
 // FuncKey returns the stable summary key for a function or method: the
 // generic origin's fully qualified name, e.g.
 // "(*thynvm/internal/mem.Storage).Write" or "thynvm/internal/mem.NewStorage".
@@ -168,18 +132,11 @@ type SummaryUnit struct {
 }
 
 // ComputeSummaries builds the summary table for units, resolving call edges
-// against the functions being summarized plus imported (already-final
-// summaries from dependency packages, used by the vet-tool facts protocol;
-// nil for whole-module runs). Facts propagate bottom-up over SCCs of the
-// call graph restricted to the local functions.
-func ComputeSummaries(units []SummaryUnit, imported *Summaries) *Summaries {
-	all := make(map[string]*FuncSummary)
-	if imported != nil {
-		for k, v := range imported.m {
-			all[k] = v
-		}
-	}
-	local := make(map[string]*FuncSummary)
+// between the functions being summarized (the whole module for the CLI, one
+// package for a fixture). Facts propagate bottom-up over SCCs of the call
+// graph.
+func ComputeSummaries(units []SummaryUnit) *Summaries {
+	sums := make(map[string]*FuncSummary)
 	for _, u := range units {
 		for _, file := range u.Files {
 			dirs := directiveLines(u.Fset, file)
@@ -192,14 +149,12 @@ func ComputeSummaries(units []SummaryUnit, imported *Summaries) *Summaries {
 				if key == "" {
 					continue
 				}
-				s := summarizeFunc(u, dirs, fn)
-				local[key] = s
-				all[key] = s
+				sums[key] = summarizeFunc(u, dirs, fn)
 			}
 		}
 	}
-	propagate(all, local)
-	return &Summaries{m: all}
+	propagate(sums)
+	return &Summaries{m: sums}
 }
 
 // summarizeFunc computes one function's direct facts and call edges.
@@ -331,22 +286,21 @@ func sigReturnsError(sig *types.Signature) bool {
 }
 
 // propagate raises the may-facts bottom-up: strongly connected components
-// of the local call graph are found with Tarjan's algorithm and processed
-// in reverse topological order (callees before callers); within one SCC the
-// members share a fixpoint. Edges into imported (already-final) summaries
-// are plain reads.
-func propagate(all, local map[string]*FuncSummary) {
-	keys := make([]string, 0, len(local))
-	for k := range local {
+// of the call graph are found with Tarjan's algorithm and processed in
+// reverse topological order (callees before callers); within one SCC the
+// members share a fixpoint.
+func propagate(sums map[string]*FuncSummary) {
+	keys := make([]string, 0, len(sums))
+	for k := range sums {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys) // deterministic SCC discovery and witness choice
 
 	// Tarjan's SCC. The call graph is shallow (module depth ≪ 10⁴), so the
 	// recursion is safe.
-	index := make(map[string]int, len(local))
-	low := make(map[string]int, len(local))
-	onStack := make(map[string]bool, len(local))
+	index := make(map[string]int, len(sums))
+	low := make(map[string]int, len(sums))
+	onStack := make(map[string]bool, len(sums))
 	var stack []string
 	var sccs [][]string // emitted in reverse topological order
 	next := 0
@@ -357,8 +311,8 @@ func propagate(all, local map[string]*FuncSummary) {
 		next++
 		stack = append(stack, v)
 		onStack[v] = true
-		for _, w := range local[v].Calls {
-			if _, isLocal := local[w]; !isLocal {
+		for _, w := range sums[v].Calls {
+			if _, ok := sums[w]; !ok {
 				continue
 			}
 			if _, seen := index[w]; !seen {
@@ -398,9 +352,9 @@ func propagate(all, local map[string]*FuncSummary) {
 		for changed := true; changed; {
 			changed = false
 			for _, k := range scc {
-				s := local[k]
+				s := sums[k]
 				for _, c := range s.Calls {
-					cs := all[c]
+					cs := sums[c]
 					if cs == nil || c == k {
 						continue
 					}

@@ -20,6 +20,7 @@ package baseline
 import (
 	"fmt"
 
+	"thynvm/internal/commit"
 	"thynvm/internal/mem"
 )
 
@@ -55,26 +56,6 @@ type Config struct {
 	Integrity bool
 }
 
-// maxGenerations bounds retained generations: the header slots plus the
-// generation-safety guard must fit in the single metadata page between the
-// physical space and the first blob area.
-const maxGenerations = mem.BlocksPerPage - 1
-
-// generations resolves the configured generation count (0 = classic pair).
-func (c Config) generations() int {
-	if c.Generations == 0 {
-		return 2
-	}
-	return c.Generations
-}
-
-// guardOn reports whether the durable generation-safety guard is in play:
-// always with integrity (media faults can destroy newer generations), and
-// whenever more than the classic pair is retained.
-func (c Config) guardOn() bool {
-	return c.Integrity || c.generations() > 2
-}
-
 // DefaultConfig mirrors the paper's evaluated configuration.
 func DefaultConfig() Config {
 	return Config{
@@ -98,8 +79,8 @@ func (c Config) Validate() error {
 	if c.JournalEntries <= 0 || c.DRAMPages <= 0 {
 		return fmt.Errorf("baseline: JournalEntries and DRAMPages must be positive")
 	}
-	if c.Generations != 0 && (c.Generations < 2 || c.Generations > maxGenerations) {
-		return fmt.Errorf("baseline: Generations %d must be 0 (default pair) or in [2, %d]", c.Generations, maxGenerations)
+	if !commit.ValidGenerations(c.Generations) {
+		return fmt.Errorf("baseline: Generations %d must be 0 (default pair) or in [2, %d]", c.Generations, commit.MaxGenerations)
 	}
 	return nil
 }

@@ -1,11 +1,14 @@
 package baseline
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
+	"thynvm/internal/commit"
 	"thynvm/internal/ctl"
 	"thynvm/internal/mem"
 )
@@ -44,23 +47,6 @@ type fbState struct {
 	floorGen int      // lowest generation fallback may legally reach
 }
 
-// journalBlob serializes a redo-journal commit blob holding one block
-// record, matching the layout BeginCheckpoint persists.
-func journalBlob(cpuState []byte, blockIdx uint64, data []byte) []byte {
-	var blob []byte
-	var u64 [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(u64[:], v)
-		blob = append(blob, u64[:]...)
-	}
-	put(uint64(len(cpuState)))
-	blob = append(blob, cpuState...)
-	put(1)
-	put(blockIdx)
-	blob = append(blob, data...)
-	return blob
-}
-
 // buildJournal commits generation 0 normally, then hand-crafts the durable
 // state of a power failure caught between generation 1's commit header
 // write completing and the guard/apply writes that are ordered after it:
@@ -77,18 +63,18 @@ func buildJournal(t *testing.T) fbState {
 	}
 	now := j.WriteBlock(0, 0, blockOf(1))
 	now = j.BeginCheckpoint(now, []byte("cpu-g0")) // committed and applied; floor stays 0
-	area0 := j.blobArea[0]
-	hdr1 := j.headerAddr[1]
+	addr0, size0 := j.meta.AreaSpan(0)
 	j.Crash(now + 1_000_000)
 
-	blob := journalBlob([]byte("cpu-g1"), 0, blockOf(2))
-	addr1 := (area0.addr + area0.size + mem.PageSize - 1) &^ (mem.PageSize - 1)
+	blob := appendJournal(nil, journalImage{cpu: []byte("cpu-g1"), recs: []journalRec{{0, blockOf(2)}}})
+	addr1 := (addr0 + size0 + mem.PageSize - 1) &^ (mem.PageSize - 1)
 	j.nvm.Poke(addr1, blob)
-	j.nvm.Poke(hdr1, encodeHeader(1, addr1, uint64(len(blob)), fnv64(blob)))
+	slot, header := j.meta.Header(1, addr1, blob)
+	j.nvm.Poke(slot, header)
 	return fbState{
 		ctrl:     j,
 		nvm:      j.nvm,
-		blobAddr: []uint64{area0.addr, addr1},
+		blobAddr: []uint64{addr0, addr1},
 		val:      []byte{1, 2},
 		cpu:      []string{"cpu-g0", "cpu-g1"},
 		floorGen: 0,
@@ -112,7 +98,8 @@ func buildShadow(t *testing.T) fbState {
 	for gen := byte(0); gen < 3; gen++ {
 		now = s.WriteBlock(now, 0, blockOf(gen+1))
 		now = s.BeginCheckpoint(now, []byte{'c', 'p', 'u', '-', 'g', '0' + gen})
-		addrs = append(addrs, s.blobArea[gen].addr)
+		addr, _ := s.meta.AreaSpan(uint64(gen))
+		addrs = append(addrs, addr)
 	}
 	s.Crash(now + 1_000_000)
 	return fbState{
@@ -196,4 +183,192 @@ func TestRecoveryFallbackGenerations(t *testing.T) {
 			}
 		})
 	}
+}
+
+// words encodes little-endian 64-bit words back to back.
+func words(vs ...uint64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	return b
+}
+
+// metaOf returns a journal's or shadow system's NVM device and commit
+// metadata.
+func metaOf(c ctl.Controller) (*mem.Device, *commit.Meta) {
+	switch c := c.(type) {
+	case *Journal:
+		return c.nvm, c.meta
+	case *Shadow:
+		return c.nvm, c.meta
+	}
+	panic("no commit metadata")
+}
+
+// TestMalformedMetadataRefused feeds journal and shadow recovery metadata
+// whose checksums hold but whose contents are impossible — what a damaged
+// or crafted image reopened from disk can hold. Each row must end in a
+// typed refusal on both storage backends, never a panic.
+func TestMalformedMetadataRefused(t *testing.T) {
+	cfg := testConfig()
+	data := cfg.PhysBytes + mem.PageSize // first checkpoint-area address
+	type row struct {
+		name string
+		blob []byte // written at the first checkpoint-area address
+		addr uint64 // header's blob address, when not that one
+		n    uint64 // header's blob length, when not len(blob)
+	}
+	common := []row{
+		{"zero-length blob", nil, 0, 0},
+		{"cpu length wraps negative", words(0xfffffffffffffff8, 0), 0, 0},
+		{"cpu length past blob", words(1<<63 - 1), 0, 0},
+		{"blob length 1<<62", words(0, 0), 0, 1 << 62},
+		{"blob past the device", words(0, 0), ^uint64(0) - 16, 0},
+	}
+	schemes := []struct {
+		name  string
+		build func(Config) (ctl.Controller, error)
+		rows  []row
+	}{
+		{"journal", func(c Config) (ctl.Controller, error) { return NewJournal(c) }, append(common[:len(common):len(common)],
+			row{"block index outside Home", append(words(0, 1, cfg.PhysBytes/mem.BlockSize), blockOf(1)...), 0, 0},
+			row{"record truncated", append(words(0, 1, 0), 1, 2, 3), 0, 0})},
+		{"shadow", func(c Config) (ctl.Controller, error) { return NewShadow(c) }, append(common[:len(common):len(common)],
+			row{"page index outside Home", words(0, 1, cfg.PhysBytes/mem.PageSize, data+mem.PageSize), 0, 0},
+			row{"slot outside the device", words(0, 1, 0, ^uint64(0)-8), 0, 0},
+			row{"slot inside Home", words(0, 1, 1, 0), 0, 0})},
+	}
+	for _, scheme := range schemes {
+		for _, backend := range []mem.Backend{mem.BackendHeap, mem.BackendMmap} {
+			for _, row := range scheme.rows {
+				t.Run(scheme.name+"/"+backend.String()+"/"+row.name, func(t *testing.T) {
+					cfg := testConfig()
+					cfg.NVMBacking = mem.StorageSpec{Backend: backend, Capacity: mem.DefaultMmapCapacity(cfg.PhysBytes)}
+					c, err := scheme.build(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					nvm, meta := metaOf(c)
+					t.Cleanup(func() {
+						if err := nvm.Storage().Close(); err != nil {
+							t.Error(err)
+						}
+					})
+					nvm.Poke(data, row.blob)
+					h := commit.Header{BlobAddr: data, BlobLen: uint64(len(row.blob)), BlobSum: mem.Checksum(row.blob)}
+					if row.addr != 0 {
+						h.BlobAddr = row.addr
+					}
+					if row.n != 0 {
+						h.BlobLen = row.n
+					}
+					rec := make([]byte, commit.RecordSize)
+					commit.Baseline.EncodeHeader(rec, h)
+					nvm.Poke(meta.HeaderAddr(0), rec)
+					_, _, err = c.Recover()
+					rep := c.(ctl.RecoveryReporter).LastRecovery()
+					if !errors.Is(err, ctl.ErrUnrecoverable) || rep.Class != ctl.Unrecoverable {
+						t.Fatalf("Recover = %v (report %+v), want a typed refusal", err, rep)
+					}
+				})
+			}
+		}
+	}
+}
+
+// appendJournal is the journal blob layout BeginCheckpoint writes.
+func appendJournal(blob []byte, img journalImage) []byte {
+	blob = append(binary.LittleEndian.AppendUint64(blob, uint64(len(img.cpu))), img.cpu...)
+	blob = binary.LittleEndian.AppendUint64(blob, uint64(len(img.recs)))
+	for _, r := range img.recs {
+		blob = append(binary.LittleEndian.AppendUint64(blob, r.idx), r.data...)
+	}
+	return blob
+}
+
+// appendShadow is the page-table blob layout flush writes.
+func appendShadow(blob []byte, img shadowImage) []byte {
+	blob = append(binary.LittleEndian.AppendUint64(blob, uint64(len(img.cpu))), img.cpu...)
+	blob = binary.LittleEndian.AppendUint64(blob, uint64(len(img.pages)))
+	for _, r := range img.pages {
+		blob = binary.LittleEndian.AppendUint64(blob, r.phys)
+		blob = binary.LittleEndian.AppendUint64(blob, r.slot)
+	}
+	return blob
+}
+
+// committedBlob returns the blob of the newest generation a system
+// committed: encoder output of the real commit path.
+func committedBlob(t testing.TB, c ctl.Controller) []byte {
+	now := c.WriteBlock(0, 0, blockOf(7))
+	now = c.WriteBlock(now, 3*mem.PageSize, blockOf(8))
+	c.BeginCheckpoint(now, []byte("cpu"))
+	nvm, meta := metaOf(c)
+	sc, _ := meta.Scan(nvm, 1<<40)
+	if !sc.Found {
+		t.Fatal("no committed generation")
+	}
+	return sc.BestBlob
+}
+
+// fuzzMeta is the layout the blob fuzzers check addresses against.
+func fuzzMeta() *commit.Meta {
+	return commit.NewMeta("test", commit.Baseline, testConfig().PhysBytes, 0, false, mem.NewStorage())
+}
+
+// FuzzDecodeJournal: the journal decoder never panics, rejects with an
+// error, and round-trips everything it accepts.
+func FuzzDecodeJournal(f *testing.F) {
+	j, err := NewJournal(testConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(committedBlob(f, j))
+	f.Add(appendJournal(nil, journalImage{}))
+	for _, b := range [][]byte{nil, words(0xfffffffffffffff8, 0), words(1<<63 - 1), words(0, 1<<62)} {
+		f.Add(b)
+	}
+	meta := fuzzMeta()
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		img, err := decodeJournal(blob, meta)
+		if err != nil {
+			return
+		}
+		enc := appendJournal(nil, img)
+		if !bytes.HasPrefix(blob, enc) {
+			t.Fatalf("re-encoding differs from the accepted blob:\n got %x\nfrom %x", enc, blob)
+		}
+		if again, err := decodeJournal(enc, meta); err != nil || !reflect.DeepEqual(again, img) {
+			t.Fatalf("round trip: (%+v, %v), want %+v", again, err, img)
+		}
+	})
+}
+
+// FuzzDecodeShadow: the page-table decoder never panics, rejects with an
+// error, and round-trips everything it accepts.
+func FuzzDecodeShadow(f *testing.F) {
+	s, err := NewShadow(testConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(committedBlob(f, s))
+	f.Add(appendShadow(nil, shadowImage{}))
+	for _, b := range [][]byte{nil, words(0xfffffffffffffff8, 0), words(1<<63 - 1), words(0, 1<<62)} {
+		f.Add(b)
+	}
+	meta := fuzzMeta()
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		img, err := decodeShadow(blob, meta)
+		if err != nil {
+			return
+		}
+		enc := appendShadow(nil, img)
+		if !bytes.HasPrefix(blob, enc) {
+			t.Fatalf("re-encoding differs from the accepted blob:\n got %x\nfrom %x", enc, blob)
+		}
+		if again, err := decodeShadow(enc, meta); err != nil || !reflect.DeepEqual(again, img) {
+			t.Fatalf("round trip: (%+v, %v), want %+v", again, err, img)
+		}
+	})
 }

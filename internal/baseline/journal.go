@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"thynvm/internal/alloc"
+	"thynvm/internal/commit"
 	"thynvm/internal/ctl"
 	"thynvm/internal/mem"
 	"thynvm/internal/obs"
@@ -33,12 +34,9 @@ type Journal struct {
 	idxScratch  *alloc.Region[uint64]
 	blobScratch *alloc.Region[byte]
 
-	headerAddr []uint64
-	blobArea   []struct{ addr, size uint64 }
-	guard      genGuard
-	integOn    bool
-	nvmBump    uint64
-	seq        uint64
+	meta    *commit.Meta // commit headers, journal areas, generation guard
+	nvmBump uint64
+	seq     uint64
 
 	epochSt      mem.Cycle
 	overflow     bool
@@ -66,24 +64,12 @@ func NewJournal(cfg Config) (*Journal, error) {
 	}
 	j.idxScratch = alloc.NewRegion[uint64](&j.epoch, cfg.JournalEntries)
 	j.blobScratch = alloc.NewRegion[byte](&j.epoch, 4096)
-	j.headerAddr = headerSlots(cfg.PhysBytes, cfg.generations())
-	j.blobArea = make([]struct{ addr, size uint64 }, cfg.generations())
-	j.guard.init(cfg.PhysBytes, cfg.guardOn())
-	j.integOn = cfg.Integrity
+	j.meta = commit.NewMeta("baseline: journal", commit.Baseline, cfg.PhysBytes, cfg.Generations, cfg.Integrity, nvmStore)
 	if cfg.Integrity {
 		nvmStore.EnableIntegrity()
 	}
-	j.nvmBump = cfg.PhysBytes + mem.PageSize
+	j.nvmBump = j.meta.DataStart()
 	return j, nil
-}
-
-// readFailureCount samples the integrity layer's read-failure counter
-// (zero with integrity off) to attribute damage to media faults.
-func (j *Journal) readFailureCount() uint64 {
-	if !j.integOn {
-		return 0
-	}
-	return j.nvm.Storage().IntegrityCounters().ReadFailures
 }
 
 // Name identifies the system in reports.
@@ -184,15 +170,11 @@ func (j *Journal) BeginCheckpoint(now mem.Cycle, cpuState []byte) mem.Cycle {
 	})
 	idxs = j.idxScratch.Keep(idxs)
 
+	le := binary.LittleEndian
 	blob := j.blobScratch.Grab()
-	var u64 [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(u64[:], v)
-		blob = append(blob, u64[:]...)
-	}
-	put(uint64(len(cpuState)))
+	blob = le.AppendUint64(blob, uint64(len(cpuState)))
 	blob = append(blob, cpuState...)
-	put(uint64(len(idxs)))
+	blob = le.AppendUint64(blob, uint64(len(idxs)))
 	var blockBuf [mem.BlockSize]byte
 	rdMax := now
 	for _, idx := range idxs {
@@ -201,23 +183,16 @@ func (j *Journal) BeginCheckpoint(now mem.Cycle, cpuState []byte) mem.Cycle {
 		if rd > rdMax {
 			rdMax = rd
 		}
-		put(idx)
+		blob = le.AppendUint64(blob, idx)
 		blob = append(blob, blockBuf[:]...)
 	}
 	blob = j.blobScratch.Keep(blob)
 
 	// Write journal blob to the backup region, then the commit header.
-	gen := j.seq % uint64(len(j.headerAddr))
-	area := &j.blobArea[gen]
-	if uint64(len(blob)) > area.size {
-		need := (uint64(len(blob)) + mem.PageSize - 1) &^ (mem.PageSize - 1)
-		area.addr = j.nvmBump
-		area.size = need
-		j.nvmBump += need
-	}
-	_, blobDone := j.nvm.WriteAt(now, rdMax, area.addr, blob, mem.SrcCheckpoint)
-	header := encodeHeader(j.seq, area.addr, uint64(len(blob)), fnv64(blob))
-	_, commitDone := j.nvm.WriteAt(now, blobDone, j.headerAddr[gen], header, mem.SrcCheckpoint)
+	blobAddr := j.meta.Area(j.seq, uint64(len(blob)), &j.nvmBump)
+	_, blobDone := j.nvm.WriteAt(now, rdMax, blobAddr, blob, mem.SrcCheckpoint)
+	slot, header := j.meta.Header(j.seq, blobAddr, blob)
+	_, commitDone := j.nvm.WriteAt(now, blobDone, slot, header, mem.SrcCheckpoint)
 	committedSeq := j.seq
 	j.seq++
 
@@ -226,7 +201,7 @@ func (j *Journal) BeginCheckpoint(now mem.Cycle, cpuState []byte) mem.Cycle {
 	// generation-safety floor rises to the committed generation first (the
 	// guard write itself ordered after the commit header, so a durable
 	// floor implies a durable commit).
-	applyIssue := j.guard.raise(j.nvm, now, commitDone, committedSeq)
+	applyIssue := j.meta.Guard.Raise(j.nvm, now, commitDone, committedSeq)
 	applyDone := applyIssue
 	off := 8 + len(cpuState) + 8
 	for _, idx := range idxs {
@@ -290,13 +265,11 @@ func (j *Journal) Crash(at mem.Cycle) {
 	j.freeSlots = nil
 	j.dramBump = 0
 	j.overflow = false
-	for i := range j.blobArea {
-		j.blobArea[i] = struct{ addr, size uint64 }{}
-	}
-	// The volatile mirror of the durable generation-safety floor is lost;
-	// Recover restores it from the guard record.
-	j.guard.reset()
-	j.nvmBump = j.cfg.PhysBytes + mem.PageSize
+	// The journal-area table and the volatile mirror of the durable
+	// generation-safety floor are lost; Recover restores the floor from the
+	// guard record.
+	j.meta.Crash()
+	j.nvmBump = j.meta.DataStart()
 	j.seq = 0
 }
 
@@ -320,23 +293,7 @@ func (j *Journal) LastRecovery() ctl.RecoveryReport { return j.lastRecovery }
 func (j *Journal) CommitAt() (bool, mem.Cycle) { return false, 0 }
 
 // MetadataKind implements ctl.MetadataMapper.
-func (j *Journal) MetadataKind(addr uint64) ctl.MetadataKind {
-	for _, h := range j.headerAddr {
-		if addr == h {
-			return ctl.MetaHeader
-		}
-	}
-	if addr == j.guard.addr {
-		return ctl.MetaHeader
-	}
-	for i := range j.blobArea {
-		a := j.blobArea[i]
-		if a.size > 0 && addr >= a.addr && addr < a.addr+a.size {
-			return ctl.MetaTable
-		}
-	}
-	return ctl.MetaNone
-}
+func (j *Journal) MetadataKind(addr uint64) ctl.MetadataKind { return j.meta.MetadataKind(addr) }
 
 // Recover implements ctl.Controller: redo the newest intact committed
 // journal over the home region (idempotent — a crash mid-apply is repaired
@@ -349,78 +306,96 @@ func (j *Journal) Recover() ([]byte, mem.Cycle, error) {
 	j.recoverCut = 0
 	armed := cut > 0
 	j.lastRecovery = ctl.RecoveryReport{}
-	sc, t := scanCommits(j.nvm, 0, j.headerAddr, j.readFailureCount)
-	floor := uint64(0)
-	guardDamaged := false
-	if j.guard.on {
-		floor, guardDamaged, t = j.guard.read(j.nvm, t)
-	}
+	sc, t := j.meta.Scan(j.nvm, 0)
 	if armed && t >= cut {
 		j.Crash(cut)
 		return nil, cut, ctl.ErrRecoverInterrupted
 	}
-	floor, cold, err := sc.verdict("journal", floor, guardDamaged)
+	rep, err := sc.Verdict()
 	if err != nil {
-		j.lastRecovery = ctl.RecoveryReport{Class: ctl.Unrecoverable, FallbackDepth: sc.depth}
+		j.lastRecovery = rep
 		return nil, t, err
 	}
-	if cold {
-		if j.integOn {
-			if fails := j.nvm.Storage().VerifyRange(0, j.cfg.PhysBytes); len(fails) > 0 {
-				j.lastRecovery = ctl.RecoveryReport{Class: ctl.Unrecoverable, ChecksumFailures: len(fails)}
-				return nil, t, fmt.Errorf("baseline: journal: %d corrupt block(s) in the initial image: %w",
-					len(fails), ctl.ErrUnrecoverable)
-			}
+	if !sc.Found {
+		if rep, err := j.meta.Scrub(&sc); err != nil {
+			j.lastRecovery = rep
+			return nil, t, err
 		}
-		j.lastRecovery = ctl.RecoveryReport{Class: ctl.RecoveredClean, ColdStart: true}
+		j.lastRecovery = rep
 		j.epochSt = t
 		return nil, t, nil
 	}
-	best, blob := sc.best, sc.bestBlob
-	cpuLen := binary.LittleEndian.Uint64(blob[0:])
-	cpuState := append([]byte(nil), blob[8:8+cpuLen]...)
-	off := 8 + int(cpuLen)
-	n := binary.LittleEndian.Uint64(blob[off:])
-	off += 8
+	best := sc.Best
+	img, err := decodeJournal(sc.BestBlob, j.meta)
+	if err != nil {
+		j.lastRecovery, err = sc.Refuse("valid header %d names an undecodable journal: %w", best.Seq, err)
+		return nil, t, err
+	}
 	// Replaying generation best over home destroys what older generations'
 	// journals redo over: the durable floor rises to best first.
-	j.guard.floor = floor
-	gd := j.guard.raise(j.nvm, t, t, best.seq)
-	var blockBuf [mem.BlockSize]byte
-	for i := uint64(0); i < n; i++ {
+	j.meta.Guard.Restore(sc.Floor)
+	gd := j.meta.Guard.Raise(j.nvm, t, t, best.Seq)
+	for _, r := range img.recs {
 		if armed && t >= cut {
 			j.Crash(cut)
 			return nil, cut, ctl.ErrRecoverInterrupted
 		}
-		idx := binary.LittleEndian.Uint64(blob[off:])
-		copy(blockBuf[:], blob[off+8:off+8+mem.BlockSize])
 		//thynvm:destroys-generation recovery replay redoes generation best over home bytes
-		t, _ = j.nvm.WriteAt(t, gd, idx*mem.BlockSize, blockBuf[:], mem.SrcCheckpoint)
-		off += 8 + mem.BlockSize
+		t, _ = j.nvm.WriteAt(t, gd, r.idx*mem.BlockSize, r.data, mem.SrcCheckpoint)
 	}
 	if armed && j.nvm.MaxPendingDone(t) > cut {
 		j.Crash(cut)
 		return nil, cut, ctl.ErrRecoverInterrupted
 	}
 	t = j.nvm.Flush(t)
-	if j.integOn {
-		// Post-recovery scrub of the software-visible image: anything media
-		// faults damaged that the replay did not rewrite is caught here,
-		// before software sees it.
-		if fails := j.nvm.Storage().VerifyRange(0, j.cfg.PhysBytes); len(fails) > 0 {
-			j.lastRecovery = ctl.RecoveryReport{Class: ctl.Unrecoverable, FallbackDepth: sc.depth, ChecksumFailures: len(fails)}
-			return nil, t, fmt.Errorf("baseline: journal: %d corrupt block(s) in the recovered image of generation %d: %w",
-				len(fails), best.seq, ctl.ErrUnrecoverable)
-		}
+	// Post-recovery scrub of the software-visible image: anything media
+	// faults damaged that the replay did not rewrite is caught here, before
+	// software sees it.
+	if rep, err := j.meta.Scrub(&sc); err != nil {
+		j.lastRecovery = rep
+		return nil, t, err
 	}
 	// Future journal areas must not clobber the surviving commit.
-	if end := best.blobAddr + best.blobLen; end > j.nvmBump {
+	if end := best.BlobAddr + best.BlobLen; end > j.nvmBump {
 		j.nvmBump = (end + mem.PageSize - 1) &^ (mem.PageSize - 1)
 	}
-	j.seq = best.seq + 1
-	j.lastRecovery = sc.report()
+	j.seq = best.Seq + 1
+	j.lastRecovery = rep
 	j.epochSt = t
-	return cpuState, t, nil
+	return img.cpu, t, nil
+}
+
+// journalImage is a decoded redo-journal blob: the CPU state, then one
+// record per journaled block.
+type journalImage struct {
+	cpu  []byte
+	recs []journalRec
+}
+
+// journalRec is one redo record: a Home block index and the block's
+// committed bytes (aliasing the blob).
+type journalRec struct {
+	idx  uint64
+	data []byte
+}
+
+// decodeJournal decodes a journal blob — the length-prefixed CPU state, a
+// record count, then (block index, 64 data bytes) records — refusing any
+// block index outside meta's Home region.
+func decodeJournal(blob []byte, meta *commit.Meta) (journalImage, error) {
+	r := commit.NewBlobReader(blob)
+	img := journalImage{cpu: append([]byte(nil), r.Bytes(r.Uint64())...)}
+	for n := r.Uint64(); n > 0 && r.Err == nil; n-- {
+		rec := journalRec{idx: r.Uint64(), data: r.Bytes(mem.BlockSize)}
+		if r.Err == nil && !meta.InHome(rec.idx, mem.BlockSize) {
+			return journalImage{}, fmt.Errorf("baseline: journal block %d outside the Home region", rec.idx)
+		}
+		img.recs = append(img.recs, rec)
+	}
+	if r.Err != nil {
+		return journalImage{}, r.Err
+	}
+	return img, nil
 }
 
 // PeekBlock implements ctl.Controller.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"thynvm/internal/alloc"
+	"thynvm/internal/commit"
 	"thynvm/internal/ctl"
 	"thynvm/internal/mem"
 	"thynvm/internal/obs"
@@ -35,12 +36,9 @@ type Shadow struct {
 	pageScratch *alloc.Region[*shadowPage]
 	blobScratch *alloc.Region[byte]
 
-	headerAddr []uint64
-	blobArea   []struct{ addr, size uint64 }
-	guard      genGuard
-	integOn    bool
-	nvmBump    uint64
-	seq        uint64
+	meta    *commit.Meta // commit headers, page-table areas, generation guard
+	nvmBump uint64
+	seq     uint64
 
 	epochSt      mem.Cycle
 	lastCPU      []byte // CPU state of the most recent epoch checkpoint
@@ -79,24 +77,12 @@ func NewShadow(cfg Config) (*Shadow, error) {
 	}
 	s.pageScratch = alloc.NewRegion[*shadowPage](&s.epoch, cfg.DRAMPages)
 	s.blobScratch = alloc.NewRegion[byte](&s.epoch, 4096)
-	s.headerAddr = headerSlots(cfg.PhysBytes, cfg.generations())
-	s.blobArea = make([]struct{ addr, size uint64 }, cfg.generations())
-	s.guard.init(cfg.PhysBytes, cfg.guardOn())
-	s.integOn = cfg.Integrity
+	s.meta = commit.NewMeta("baseline: shadow", commit.Baseline, cfg.PhysBytes, cfg.Generations, cfg.Integrity, nvmStore)
 	if cfg.Integrity {
 		nvmStore.EnableIntegrity()
 	}
-	s.nvmBump = cfg.PhysBytes + mem.PageSize
+	s.nvmBump = s.meta.DataStart()
 	return s, nil
-}
-
-// readFailureCount samples the integrity layer's read-failure counter
-// (zero with integrity off) to attribute damage to media faults.
-func (s *Shadow) readFailureCount() uint64 {
-	if !s.integOn {
-		return 0
-	}
-	return s.nvm.Storage().IntegrityCounters().ReadFailures
 }
 
 // Name identifies the system in reports.
@@ -237,8 +223,8 @@ func (s *Shadow) flush(now mem.Cycle, cpuState []byte, ckptStall bool) mem.Cycle
 	// generation-safety floor rises to the previous generation first and
 	// the slot writes are ordered after the raise.
 	var gd mem.Cycle
-	if s.guard.on && s.seq > 0 {
-		gd = s.guard.raise(s.nvm, now, now, s.seq-1)
+	if s.seq > 0 {
+		gd = s.meta.Guard.Raise(s.nvm, now, now, s.seq-1)
 	}
 	var pageBuf [mem.PageSize]byte
 	dirty := s.sortedPages()
@@ -263,13 +249,9 @@ func (s *Shadow) flush(now mem.Cycle, cpuState []byte, ckptStall bool) mem.Cycle
 		p.dirty = false
 	}
 	// Commit the page table.
+	le := binary.LittleEndian
 	blob := s.blobScratch.Grab()
-	var u64 [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(u64[:], v)
-		blob = append(blob, u64[:]...)
-	}
-	put(uint64(len(cpuState)))
+	blob = le.AppendUint64(blob, uint64(len(cpuState)))
 	blob = append(blob, cpuState...)
 	entries := 0
 	for _, p := range s.sortedPages() {
@@ -277,25 +259,18 @@ func (s *Shadow) flush(now mem.Cycle, cpuState []byte, ckptStall bool) mem.Cycle
 			entries++
 		}
 	}
-	put(uint64(entries))
+	blob = le.AppendUint64(blob, uint64(entries))
 	for _, p := range s.sortedPages() {
 		if p.committed != p.homeAddr {
-			put(p.phys)
-			put(p.committed)
+			blob = le.AppendUint64(blob, p.phys)
+			blob = le.AppendUint64(blob, p.committed)
 		}
 	}
 	blob = s.blobScratch.Keep(blob)
-	gen := s.seq % uint64(len(s.headerAddr))
-	area := &s.blobArea[gen]
-	if uint64(len(blob)) > area.size {
-		need := (uint64(len(blob)) + mem.PageSize - 1) &^ (mem.PageSize - 1)
-		area.addr = s.nvmBump
-		area.size = need
-		s.nvmBump += need
-	}
-	_, blobDone := s.nvm.WriteAt(now, maxDone, area.addr, blob, mem.SrcCheckpoint)
-	header := encodeHeader(s.seq, area.addr, uint64(len(blob)), fnv64(blob))
-	_, commitDone := s.nvm.WriteAt(now, blobDone, s.headerAddr[gen], header, mem.SrcCheckpoint)
+	blobAddr := s.meta.Area(s.seq, uint64(len(blob)), &s.nvmBump)
+	_, blobDone := s.nvm.WriteAt(now, maxDone, blobAddr, blob, mem.SrcCheckpoint)
+	slot, header := s.meta.Header(s.seq, blobAddr, blob)
+	_, commitDone := s.nvm.WriteAt(now, blobDone, slot, header, mem.SrcCheckpoint)
 	s.seq++
 
 	s.stats.Commits++
@@ -405,13 +380,11 @@ func (s *Shadow) Crash(at mem.Cycle) {
 	s.dramBump = 0
 	s.lastCPU = nil
 	s.overflow = false
-	for i := range s.blobArea {
-		s.blobArea[i] = struct{ addr, size uint64 }{}
-	}
-	// The volatile mirror of the durable generation-safety floor is lost;
-	// Recover restores it from the guard record.
-	s.guard.reset()
-	s.nvmBump = s.cfg.PhysBytes + mem.PageSize
+	// The page-table-area table and the volatile mirror of the durable
+	// generation-safety floor are lost; Recover restores the floor from the
+	// guard record.
+	s.meta.Crash()
+	s.nvmBump = s.meta.DataStart()
 	s.seq = 0
 }
 
@@ -434,23 +407,7 @@ func (s *Shadow) LastRecovery() ctl.RecoveryReport { return s.lastRecovery }
 func (s *Shadow) CommitAt() (bool, mem.Cycle) { return false, 0 }
 
 // MetadataKind implements ctl.MetadataMapper.
-func (s *Shadow) MetadataKind(addr uint64) ctl.MetadataKind {
-	for _, h := range s.headerAddr {
-		if addr == h {
-			return ctl.MetaHeader
-		}
-	}
-	if addr == s.guard.addr {
-		return ctl.MetaHeader
-	}
-	for i := range s.blobArea {
-		a := s.blobArea[i]
-		if a.size > 0 && addr >= a.addr && addr < a.addr+a.size {
-			return ctl.MetaTable
-		}
-	}
-	return ctl.MetaNone
-}
+func (s *Shadow) MetadataKind(addr uint64) ctl.MetadataKind { return s.meta.MetadataKind(addr) }
 
 // Recover implements ctl.Controller: consolidate committed shadow copies
 // into the home region. Restartable: consolidation reads committed shadow
@@ -463,64 +420,53 @@ func (s *Shadow) Recover() ([]byte, mem.Cycle, error) {
 	s.recoverCut = 0
 	armed := cut > 0
 	s.lastRecovery = ctl.RecoveryReport{}
-	sc, t := scanCommits(s.nvm, 0, s.headerAddr, s.readFailureCount)
-	floor := uint64(0)
-	guardDamaged := false
-	if s.guard.on {
-		floor, guardDamaged, t = s.guard.read(s.nvm, t)
-	}
+	sc, t := s.meta.Scan(s.nvm, 0)
 	if armed && t >= cut {
 		s.Crash(cut)
 		return nil, cut, ctl.ErrRecoverInterrupted
 	}
-	floor, cold, err := sc.verdict("shadow", floor, guardDamaged)
+	rep, err := sc.Verdict()
 	if err != nil {
-		s.lastRecovery = ctl.RecoveryReport{Class: ctl.Unrecoverable, FallbackDepth: sc.depth}
+		s.lastRecovery = rep
 		return nil, t, err
 	}
-	if cold {
-		if s.integOn {
-			if fails := s.nvm.Storage().VerifyRange(0, s.cfg.PhysBytes); len(fails) > 0 {
-				s.lastRecovery = ctl.RecoveryReport{Class: ctl.Unrecoverable, ChecksumFailures: len(fails)}
-				return nil, t, fmt.Errorf("baseline: shadow: %d corrupt block(s) in the initial image: %w",
-					len(fails), ctl.ErrUnrecoverable)
-			}
+	if !sc.Found {
+		if rep, err := s.meta.Scrub(&sc); err != nil {
+			s.lastRecovery = rep
+			return nil, t, err
 		}
-		s.lastRecovery = ctl.RecoveryReport{Class: ctl.RecoveredClean, ColdStart: true}
+		s.lastRecovery = rep
 		s.epochSt = t
 		return nil, t, nil
 	}
-	best, blob := sc.best, sc.bestBlob
-	cpuLen := binary.LittleEndian.Uint64(blob[0:])
-	cpuState := append([]byte(nil), blob[8:8+cpuLen]...)
-	off := 8 + int(cpuLen)
-	n := binary.LittleEndian.Uint64(blob[off:])
-	off += 8
+	best := sc.Best
+	img, err := decodeShadow(sc.BestBlob, s.meta)
+	if err != nil {
+		s.lastRecovery, err = sc.Refuse("valid header %d names an undecodable page table: %w", best.Seq, err)
+		return nil, t, err
+	}
 	// Consolidation overwrites Home bytes older generations still rely on:
 	// the durable floor rises to best first, the copies ordered after. The
 	// consolidation reads also integrity-check the shadow slots — a media
 	// failure under them aborts the recovery instead of materializing a
 	// poisoned image.
-	s.guard.floor = floor
-	intBase := s.readFailureCount()
-	gd := s.guard.raise(s.nvm, t, t, best.seq)
+	s.meta.Guard.Restore(sc.Floor)
+	intBase := s.meta.ReadFailures()
+	gd := s.meta.Guard.Raise(s.nvm, t, t, best.Seq)
 	var pageBuf [mem.PageSize]byte
 	maxEnd := s.nvmBump
-	for i := uint64(0); i < n; i++ {
+	for _, r := range img.pages {
 		if armed && t >= cut {
 			s.Crash(cut)
 			return nil, cut, ctl.ErrRecoverInterrupted
 		}
-		phys := binary.LittleEndian.Uint64(blob[off:])
-		slot := binary.LittleEndian.Uint64(blob[off+8:])
-		off += 16
-		rd := s.nvm.Read(t, slot, pageBuf[:])
+		rd := s.nvm.Read(t, r.slot, pageBuf[:])
 		if gd > rd {
 			rd = gd
 		}
 		//thynvm:destroys-generation recovery consolidation overwrites Home with generation best's pages
-		t, _ = s.nvm.WriteAt(rd, gd, phys*mem.PageSize, pageBuf[:], mem.SrcCheckpoint)
-		if end := slot + mem.PageSize; end > maxEnd {
+		t, _ = s.nvm.WriteAt(rd, gd, r.phys*mem.PageSize, pageBuf[:], mem.SrcCheckpoint)
+		if end := r.slot + mem.PageSize; end > maxEnd {
 			maxEnd = end
 		}
 	}
@@ -529,26 +475,52 @@ func (s *Shadow) Recover() ([]byte, mem.Cycle, error) {
 		return nil, cut, ctl.ErrRecoverInterrupted
 	}
 	t = s.nvm.Flush(t)
-	if s.integOn {
-		if s.readFailureCount() != intBase {
-			s.lastRecovery = ctl.RecoveryReport{Class: ctl.Unrecoverable, FallbackDepth: sc.depth}
-			return nil, t, fmt.Errorf("baseline: shadow: media errors while reading generation %d checkpoint data: %w",
-				best.seq, ctl.ErrUnrecoverable)
-		}
-		if fails := s.nvm.Storage().VerifyRange(0, s.cfg.PhysBytes); len(fails) > 0 {
-			s.lastRecovery = ctl.RecoveryReport{Class: ctl.Unrecoverable, FallbackDepth: sc.depth, ChecksumFailures: len(fails)}
-			return nil, t, fmt.Errorf("baseline: shadow: %d corrupt block(s) in the recovered image of generation %d: %w",
-				len(fails), best.seq, ctl.ErrUnrecoverable)
-		}
+	if s.meta.ReadFailures() != intBase {
+		s.lastRecovery, err = sc.Refuse("media errors while reading generation %d checkpoint data", best.Seq)
+		return nil, t, err
 	}
-	if end := best.blobAddr + best.blobLen; end > maxEnd {
+	if rep, err := s.meta.Scrub(&sc); err != nil {
+		s.lastRecovery = rep
+		return nil, t, err
+	}
+	if end := best.BlobAddr + best.BlobLen; end > maxEnd {
 		maxEnd = end
 	}
 	s.nvmBump = (maxEnd + mem.PageSize - 1) &^ (mem.PageSize - 1)
-	s.seq = best.seq + 1
-	s.lastRecovery = sc.report()
+	s.seq = best.Seq + 1
+	s.lastRecovery = rep
 	s.epochSt = t
-	return cpuState, t, nil
+	return img.cpu, t, nil
+}
+
+// shadowImage is a decoded page-table blob: the CPU state, then one
+// record per page whose committed copy lives in a shadow slot.
+type shadowImage struct {
+	cpu   []byte
+	pages []shadowRec
+}
+
+// shadowRec maps a Home page index to the shadow slot holding its
+// committed copy.
+type shadowRec struct{ phys, slot uint64 }
+
+// decodeShadow decodes a page-table blob — the length-prefixed CPU state, a
+// record count, then (page index, slot address) records — refusing any
+// page outside meta's Home region or slot outside its checkpoint area.
+func decodeShadow(blob []byte, meta *commit.Meta) (shadowImage, error) {
+	r := commit.NewBlobReader(blob)
+	img := shadowImage{cpu: append([]byte(nil), r.Bytes(r.Uint64())...)}
+	for n := r.Uint64(); n > 0 && r.Err == nil; n-- {
+		rec := shadowRec{phys: r.Uint64(), slot: r.Uint64()}
+		if r.Err == nil && (!meta.InHome(rec.phys, mem.PageSize) || !meta.SlotOK(rec.slot, mem.PageSize)) {
+			return shadowImage{}, fmt.Errorf("baseline: shadow page %d -> %#x outside the device layout", rec.phys, rec.slot)
+		}
+		img.pages = append(img.pages, rec)
+	}
+	if r.Err != nil {
+		return shadowImage{}, r.Err
+	}
+	return img, nil
 }
 
 // PeekBlock implements ctl.Controller.

@@ -14,36 +14,14 @@ import (
 // its Home copy — destroys the image generations older than that last
 // checkpoint depend on; the entry's idle count dates that checkpoint at
 // (newest committed − idle), so the floor rises there, durably, *before*
-// the destructive write issues. When the guard is off this returns 0 and
+// the destructive write issues. With the guard off this returns now and
 // write ordering degenerates to the legacy behavior.
 func (c *Controller) guardIssue(now mem.Cycle, idle uint8) mem.Cycle {
-	if !c.guardOn || c.seq == 0 {
-		return 0
-	}
-	newest := c.seq - 1
 	floor := uint64(0)
-	if uint64(idle) < newest {
+	if newest := c.seq - 1; c.seq > 0 && uint64(idle) < newest {
 		floor = newest - uint64(idle)
 	}
-	c.raiseGuard(now, floor)
-	return c.guardFloorDone
-}
-
-// raiseGuard durably records floor as the lowest generation recovery may
-// fall back to, if it exceeds the current floor. The raise is monotone and
-// at most one guard write per floor value is posted.
-//
-//thynvm:guard-raise
-func (c *Controller) raiseGuard(now mem.Cycle, floor uint64) {
-	if !c.guardOn || floor <= c.guardFloor {
-		return
-	}
-	encodeGuardInto(c.guardBuf[:], floor)
-	_, done := c.nvm.WriteWithCompletion(now, c.guardAddr, c.guardBuf[:], mem.SrcCheckpoint)
-	c.guardFloor = floor
-	if done > c.guardFloorDone {
-		c.guardFloorDone = done
-	}
+	return c.meta.Guard.Raise(c.nvm, now, now, floor)
 }
 
 // CheckpointDue implements ctl.Controller: the epoch timer has expired or a
@@ -202,13 +180,8 @@ func (c *Controller) BeginCheckpoint(now mem.Cycle, cpuState []byte) mem.Cycle {
 	// header, ordered after every data write above and after any Home-
 	// consolidation copies posted at the previous commit.
 	blob := c.serializeTables(cpuState)
-	gen := c.seq % uint64(len(c.headerAddr))
-	area := &c.tableArea[gen]
-	if uint64(len(blob)) > area.size {
-		area.addr = c.allocNVMArea(uint64(len(blob)))
-		area.size = alignUp(uint64(len(blob)), mem.PageSize)
-	}
-	_, blobDone := c.nvm.WriteWithCompletion(now, area.addr, blob, mem.SrcCheckpoint)
+	blobAddr := c.meta.Area(c.seq, uint64(len(blob)), &c.nvmBump)
+	_, blobDone := c.nvm.WriteWithCompletion(now, blobAddr, blob, mem.SrcCheckpoint)
 	if blobDone > maxDone {
 		maxDone = blobDone
 	}
@@ -226,8 +199,8 @@ func (c *Controller) BeginCheckpoint(now mem.Cycle, cpuState []byte) mem.Cycle {
 	}
 	c.execWriteMaxDone = 0
 
-	encodeHeaderInto(c.hdrBuf[:], c.seq, area.addr, uint64(len(blob)), fnv64(blob))
-	_, commitDone := c.nvm.WriteAt(now, maxDone, c.headerAddr[gen], c.hdrBuf[:], mem.SrcCheckpoint)
+	slot, header := c.meta.Header(c.seq, blobAddr, blob)
+	_, commitDone := c.nvm.WriteAt(now, maxDone, slot, header, mem.SrcCheckpoint)
 	c.seq++
 	c.ckptInFlight = true
 	c.commitDone = commitDone
@@ -497,9 +470,9 @@ func (c *Controller) decay(at mem.Cycle) {
 		// under the read skips the Home write and leaves the entry live,
 		// so recovery re-reads the damaged slot and refuses loudly instead
 		// of a clean-checksummed wrong image propagating to Home.
-		intBase := c.readFailureCount()
+		intBase := c.meta.ReadFailures()
 		rd := c.nvm.ReadBackground(at, e.clastAddr, blockBuf[:])
-		if c.readFailureCount() != intBase {
+		if c.meta.ReadFailures() != intBase {
 			continue
 		}
 		if gd := c.guardIssue(at, e.idle); gd > rd {
@@ -522,9 +495,9 @@ func (c *Controller) decay(at mem.Cycle) {
 			c.freePageEntry(e)
 			continue
 		}
-		intBase := c.readFailureCount()
+		intBase := c.meta.ReadFailures()
 		rd := c.nvm.ReadBackground(at, e.clastAddr, pageBuf[:])
-		if c.readFailureCount() != intBase {
+		if c.meta.ReadFailures() != intBase {
 			continue
 		}
 		if gd := c.guardIssue(at, e.idle); gd > rd {
@@ -561,9 +534,9 @@ func (c *Controller) migrate(at mem.Cycle) {
 			c.freePageEntry(e)
 			continue
 		}
-		intBase := c.readFailureCount()
+		intBase := c.meta.ReadFailures()
 		rd := c.nvm.ReadBackground(at, e.clastAddr, pageBuf[:])
-		if c.readFailureCount() != intBase {
+		if c.meta.ReadFailures() != intBase {
 			continue
 		}
 		if gd := c.guardIssue(at, e.idle); gd > rd {
@@ -597,7 +570,7 @@ func (c *Controller) migrate(at mem.Cycle) {
 			continue
 		}
 		pe := c.allocPageEntry(pageIdx)
-		intBase := c.readFailureCount()
+		intBase := c.meta.ReadFailures()
 		// Compose two images of the page from its blocks: the visible one
 		// (with any current-epoch working copies) for the DRAM Working
 		// Data Region, and the committed one (last-checkpoint data) for
@@ -650,7 +623,7 @@ func (c *Controller) migrate(at mem.Cycle) {
 				copy(visImg[off:], homeImg[off:])
 			}
 		}
-		if c.readFailureCount() != intBase {
+		if c.meta.ReadFailures() != intBase {
 			// Media failure while composing the committed image: abandon the
 			// migration so the poisoned read never lands in Home. The block
 			// entries stay authoritative and recovery will surface the

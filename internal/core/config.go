@@ -17,6 +17,7 @@ package core
 import (
 	"fmt"
 
+	"thynvm/internal/commit"
 	"thynvm/internal/mem"
 )
 
@@ -108,7 +109,7 @@ type Config struct {
 	// (header slots + metadata blob areas). 0 means the classic ping-pong
 	// pair (K=2). With K > 2, recovery walks backward past damaged
 	// generations to the newest fully-intact one, bounded by the durable
-	// generation-safety floor (see recovery.go).
+	// generation-safety floor (see internal/commit).
 	Generations int
 	// Integrity enables NVM media integrity mode: per-block checksums
 	// maintained on the persist path, verified reads, an idle-cycle scrub
@@ -159,24 +160,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: WatermarkEntries %d must cover at least one page of blocks (%d)",
 			c.WatermarkEntries, mem.BlocksPerPage)
 	}
-	if c.Generations != 0 && (c.Generations < 2 || c.Generations > maxGenerations) {
+	if !commit.ValidGenerations(c.Generations) {
 		return fmt.Errorf("core: Generations %d must be in [2,%d] (0 = default pair)",
-			c.Generations, maxGenerations)
+			c.Generations, commit.MaxGenerations)
 	}
 	return nil
-}
-
-// maxGenerations bounds K: all header slots plus the generation-safety
-// guard must fit in the single metadata page reserved above the Home
-// region (PageSize/BlockSize block slots, one reserved for the guard).
-const maxGenerations = mem.BlocksPerPage - 1
-
-// generations resolves the configured K (0 means the classic pair).
-func (c Config) generations() int {
-	if c.Generations == 0 {
-		return 2
-	}
-	return c.Generations
 }
 
 // PaperBTTEntryBits is the size of one BTT row per the paper's Figure 5:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"thynvm/internal/alloc"
+	"thynvm/internal/commit"
 	"thynvm/internal/ctl"
 	"thynvm/internal/mem"
 	"thynvm/internal/obs"
@@ -26,13 +27,10 @@ type Controller struct {
 	blocks radix.Table[*blockEntry] // BTT, keyed by physical block index
 	pages  radix.Table[*pageEntry]  // PTT, keyed by physical page index
 
-	// NVM hardware-address-space allocation beyond the Home region: K
-	// fixed 64 B header slots (one per retained generation) and the
-	// generation-safety guard slot share the first metadata page, then
-	// bump-allocated checkpoint slots and table-blob areas follow, with
-	// free lists for recycled slots.
-	headerAddr     []uint64
-	guardAddr      uint64
+	// NVM hardware-address-space allocation beyond the Home region: the
+	// commit metadata page (K header slots and the generation-safety guard,
+	// see meta), then bump-allocated checkpoint slots and table-blob areas,
+	// with free lists for recycled slots.
 	nvmBumpStart   uint64
 	nvmBump        uint64
 	freeBlockSlots []uint64
@@ -43,24 +41,16 @@ type Controller struct {
 	freeDramBlockSlots []uint64
 	freeDramPageSlots  []uint64
 
-	seq       uint64 // sequence number of the next checkpoint commit
-	tableArea []struct{ addr, size uint64 }
+	seq uint64 // sequence number of the next checkpoint commit
 
-	// Generation-safety guard state. guardOn is set when fallback past the
-	// newest generation must be provably safe (integrity mode or K > 2):
-	// before any write that destroys data an older generation depends on,
-	// the durable guard record's floor is raised, and the destructive
-	// writes are issue-ordered after that raise. guardFloor mirrors the
-	// durable floor; guardFloorDone is the completion cycle of the latest
-	// raise, folded into dependent writes' issue cycles (0 when off —
-	// ordering then degenerates to the legacy behavior).
-	guardOn        bool
-	guardFloor     uint64
-	guardFloorDone mem.Cycle
-	guardBuf       [headerSize]byte
+	// meta is the commit metadata: header slots, table-blob areas, and the
+	// generation-safety guard, whose floor is raised durably before any
+	// write that destroys data an older generation depends on (integrity
+	// mode or K > 2; a no-op otherwise).
+	meta *commit.Meta
 
 	// integOn mirrors cfg.Integrity; nvmStore is the NVM backing store,
-	// cached for the integrity hot paths (scrub, read-failure deltas).
+	// cached for the integrity scrub.
 	integOn  bool
 	nvmStore *mem.Storage
 
@@ -91,7 +81,6 @@ type Controller struct {
 	brecScratch  *alloc.Region[tableRec]
 	precScratch  *alloc.Region[tableRec]
 	blobScratch  *alloc.Region[byte]
-	hdrBuf       [headerSize]byte
 
 	// recoverCut, when non-zero, is a one-shot power-failure instant on the
 	// next Recover's timeline (crash-during-recovery torture).
@@ -124,22 +113,13 @@ func New(cfg Config) (*Controller, error) {
 	c.brecScratch = alloc.NewRegion[tableRec](&c.epoch, cfg.BTTEntries)
 	c.precScratch = alloc.NewRegion[tableRec](&c.epoch, cfg.PTTEntries)
 	c.blobScratch = alloc.NewRegion[byte](&c.epoch, 4096)
-	gens := cfg.generations()
-	c.headerAddr = make([]uint64, gens)
-	for i := range c.headerAddr {
-		c.headerAddr[i] = cfg.PhysBytes + uint64(i)*mem.BlockSize
-	}
-	c.tableArea = make([]struct{ addr, size uint64 }, gens)
-	// The guard record lives in the last block of the metadata page, clear
-	// of every header slot (Generations is capped below BlocksPerPage).
-	c.guardAddr = cfg.PhysBytes + mem.PageSize - mem.BlockSize
-	c.guardOn = cfg.Integrity || gens > 2
+	c.meta = commit.NewMeta("core", commit.ThyNVM, cfg.PhysBytes, cfg.Generations, cfg.Integrity, nvmStore)
 	c.integOn = cfg.Integrity
 	c.nvmStore = nvmStore
 	if cfg.Integrity {
 		nvmStore.EnableIntegrity()
 	}
-	c.nvmBumpStart = cfg.PhysBytes + mem.PageSize
+	c.nvmBumpStart = c.meta.DataStart()
 	c.nvmBump = c.nvmBumpStart
 	return c, nil
 }
@@ -147,17 +127,6 @@ func New(cfg Config) (*Controller, error) {
 // NVMStorage exposes the NVM device's backing store for backend-level
 // operations (Sync, Snapshot, Close on mmap-backed images).
 func (c *Controller) NVMStorage() *mem.Storage { return c.nvm.Storage() }
-
-// readFailureCount returns the NVM integrity-mode read-failure counter (0
-// when integrity is off). Consolidation paths check deltas around their
-// background reads so a poisoned or bit-rotted source is never copied into
-// the Home region under a fresh checksum.
-func (c *Controller) readFailureCount() uint64 {
-	if !c.integOn {
-		return 0
-	}
-	return c.nvmStore.IntegrityCounters().ReadFailures
-}
 
 // MustNew is New for known-good configs (tests, examples).
 func MustNew(cfg Config) *Controller {
@@ -202,13 +171,6 @@ func (c *Controller) allocNVMPageSlot() uint64 {
 	c.nvmBump = alignUp(c.nvmBump, mem.PageSize)
 	s := c.nvmBump
 	c.nvmBump += mem.PageSize
-	return s
-}
-
-func (c *Controller) allocNVMArea(size uint64) uint64 {
-	c.nvmBump = alignUp(c.nvmBump, mem.PageSize)
-	s := c.nvmBump
-	c.nvmBump += alignUp(size, mem.PageSize)
 	return s
 }
 
@@ -556,7 +518,7 @@ func (c *Controller) writeViaBlock(now mem.Cycle, addr uint64, data []byte) mem.
 	case activeNVM:
 		// Later stores reuse the slot the first store already guarded;
 		// they only need to issue after the floor raise is durable.
-		ack, done := c.nvm.WriteAt(now, c.guardFloorDone, be.wAddr(), data, mem.SrcCPU)
+		ack, done := c.nvm.WriteAt(now, c.meta.Guard.Done(), be.wAddr(), data, mem.SrcCPU)
 		if done > c.execWriteMaxDone {
 			c.execWriteMaxDone = done
 		}
@@ -643,7 +605,7 @@ func (c *Controller) writePageRemap(now mem.Cycle, pageIdx uint64, addr uint64, 
 		pe.remapActive = true
 		pe.dirty = true
 	}
-	ack, done := c.nvm.WriteAt(now, c.guardFloorDone, pe.wAddr()+off, data, mem.SrcCPU)
+	ack, done := c.nvm.WriteAt(now, c.meta.Guard.Done(), pe.wAddr()+off, data, mem.SrcCPU)
 	if done > c.execWriteMaxDone {
 		c.execWriteMaxDone = done
 	}
@@ -728,23 +690,7 @@ func (c *Controller) SetRecoverInterrupt(at mem.Cycle) { c.recoverCut = at }
 // MetadataKind implements ctl.MetadataMapper: commit-header slots (and the
 // generation-safety guard slot) and the per-generation table-blob areas are
 // metadata; everything else (Home region, checkpoint slots) is data.
-func (c *Controller) MetadataKind(addr uint64) ctl.MetadataKind {
-	for _, h := range c.headerAddr {
-		if addr == h {
-			return ctl.MetaHeader
-		}
-	}
-	if addr == c.guardAddr {
-		return ctl.MetaHeader
-	}
-	for i := range c.tableArea {
-		a := c.tableArea[i]
-		if a.size > 0 && addr >= a.addr && addr < a.addr+a.size {
-			return ctl.MetaTable
-		}
-	}
-	return ctl.MetaNone
-}
+func (c *Controller) MetadataKind(addr uint64) ctl.MetadataKind { return c.meta.MetadataKind(addr) }
 
 // sortedBlocks and sortedPages return table entries in physical-index order.
 // Checkpointing, decay and migration iterate in this order so that device

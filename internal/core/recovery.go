@@ -4,118 +4,19 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"thynvm/internal/commit"
 	"thynvm/internal/ctl"
 	"thynvm/internal/mem"
 	"thynvm/internal/obs"
 )
 
 // Metadata persistence format. Each checkpoint commit writes a table blob
-// (translation tables + CPU state) into a ping-pong area of NVM, then a
-// 64-byte header naming it. Recovery validates both headers' checksums and
-// restores from the newest valid one — a more robust realization of the
-// paper's atomic "checkpoint complete" bit.
+// (translation tables + CPU state) into one of K rotating areas of NVM, then
+// a commit header naming it; the header slots, the generation-safety guard,
+// the slot scan and the verdict table are the shared internal/commit
+// machinery, under ThyNVM's own record magics.
 
-const (
-	headerMagic = 0x5448594e564d4844 // "THYNVMHD"
-	blobMagic   = 0x5448594e564d5442 // "THYNVMTB"
-	guardMagic  = 0x5448594e564d4753 // "THYNVMGS"
-	headerSize  = mem.BlockSize
-)
-
-// fnv64 is FNV-1a, used to detect torn metadata writes.
-func fnv64(b []byte) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime
-	}
-	return h
-}
-
-func encodeHeader(seq, tableAddr, tableLen, tableSum uint64) []byte {
-	h := make([]byte, headerSize)
-	encodeHeaderInto(h, seq, tableAddr, tableLen, tableSum)
-	return h
-}
-
-// encodeHeaderInto is encodeHeader writing into a caller-owned buffer of
-// at least headerSize bytes (the commit path reuses one per controller).
-func encodeHeaderInto(h []byte, seq, tableAddr, tableLen, tableSum uint64) {
-	binary.LittleEndian.PutUint64(h[0:], headerMagic)
-	binary.LittleEndian.PutUint64(h[8:], seq)
-	binary.LittleEndian.PutUint64(h[16:], tableAddr)
-	binary.LittleEndian.PutUint64(h[24:], tableLen)
-	binary.LittleEndian.PutUint64(h[32:], tableSum)
-	binary.LittleEndian.PutUint64(h[40:], fnv64(h[:40]))
-}
-
-// encodeGuardInto writes the generation-safety guard record: the lowest
-// generation recovery may still fall back to. It is raised durably before
-// any write that destroys data an older generation's image depends on
-// (checkpoint-slot reuse, Home consolidation), so a fallback below the
-// floor is refused rather than silently reading overwritten slots.
-func encodeGuardInto(b []byte, floor uint64) {
-	for i := range b[:headerSize] {
-		b[i] = 0
-	}
-	binary.LittleEndian.PutUint64(b[0:], guardMagic)
-	binary.LittleEndian.PutUint64(b[8:], floor)
-	binary.LittleEndian.PutUint64(b[16:], fnv64(b[:16]))
-}
-
-// decodeGuard validates a guard record and returns the recorded floor.
-func decodeGuard(b []byte) (uint64, bool) {
-	if len(b) < headerSize {
-		return 0, false
-	}
-	if binary.LittleEndian.Uint64(b[0:]) != guardMagic {
-		return 0, false
-	}
-	if binary.LittleEndian.Uint64(b[16:]) != fnv64(b[:16]) {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint64(b[8:]), true
-}
-
-// allZero reports whether a header slot has never been written (as opposed
-// to damaged: a nonzero slot that fails validation).
-func allZero(b []byte) bool {
-	for _, v := range b {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-type header struct {
-	seq       uint64
-	tableAddr uint64
-	tableLen  uint64
-	tableSum  uint64
-}
-
-func decodeHeader(b []byte) (header, bool) {
-	if len(b) < headerSize {
-		return header{}, false
-	}
-	if binary.LittleEndian.Uint64(b[0:]) != headerMagic {
-		return header{}, false
-	}
-	if binary.LittleEndian.Uint64(b[40:]) != fnv64(b[:40]) {
-		return header{}, false
-	}
-	return header{
-		seq:       binary.LittleEndian.Uint64(b[8:]),
-		tableAddr: binary.LittleEndian.Uint64(b[16:]),
-		tableLen:  binary.LittleEndian.Uint64(b[24:]),
-		tableSum:  binary.LittleEndian.Uint64(b[32:]),
-	}, true
-}
+const blobMagic = 0x5448594e564d5442 // "THYNVMTB"
 
 // tableRec is one serialized translation entry: physical index and the
 // slot address holding its committed data.
@@ -164,95 +65,61 @@ func (c *Controller) serializeTables(cpuState []byte) []byte {
 	}
 	precs = c.precScratch.Keep(precs)
 
-	blob := c.blobScratch.Grab()
-	var u64 [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(u64[:], v)
-		blob = append(blob, u64[:]...)
-	}
-	put(blobMagic)
-	put(c.epochID)
-	put(uint64(len(cpuState)))
-	blob = append(blob, cpuState...)
-	put(uint64(len(brecs)))
-	for _, r := range brecs {
-		put(r.phys)
-		put(r.slot)
-	}
-	put(uint64(len(precs)))
-	for _, r := range precs {
-		put(r.phys)
-		put(r.slot)
-	}
-	return c.blobScratch.Keep(blob)
+	img := tableImage{epochID: c.epochID, cpuState: cpuState, blocks: brecs, pages: precs}
+	return c.blobScratch.Keep(appendTables(c.blobScratch.Grab(), &img))
 }
 
+// tableImage is the content of a table blob.
 type tableImage struct {
 	epochID  uint64
 	cpuState []byte
-	blocks   []struct{ phys, slot uint64 }
-	pages    []struct{ phys, slot uint64 }
+	blocks   []tableRec
+	pages    []tableRec
 }
 
-func parseTables(blob []byte) (*tableImage, error) {
-	img := &tableImage{}
-	off := 0
-	next := func() (uint64, error) {
-		if off+8 > len(blob) {
-			return 0, fmt.Errorf("core: truncated table blob at offset %d", off)
+// appendTables appends img's persistent form to blob: the blob magic, the
+// epoch id, the length-prefixed CPU state, then the block and the page
+// records, each list count-prefixed.
+func appendTables(blob []byte, img *tableImage) []byte {
+	le := binary.LittleEndian
+	blob = le.AppendUint64(blob, blobMagic)
+	blob = le.AppendUint64(blob, img.epochID)
+	blob = le.AppendUint64(blob, uint64(len(img.cpuState)))
+	blob = append(blob, img.cpuState...)
+	for _, recs := range [2][]tableRec{img.blocks, img.pages} {
+		blob = le.AppendUint64(blob, uint64(len(recs)))
+		for _, r := range recs {
+			blob = le.AppendUint64(blob, r.phys)
+			blob = le.AppendUint64(blob, r.slot)
 		}
-		v := binary.LittleEndian.Uint64(blob[off:])
-		off += 8
-		return v, nil
 	}
-	magic, err := next()
-	if err != nil {
-		return nil, err
-	}
-	if magic != blobMagic {
+	return blob
+}
+
+// parseTables decodes a table blob, range-checking every address it names
+// against meta's layout: each block or page index must lie in Home, and
+// its slot past the metadata page and inside the device.
+func parseTables(blob []byte, meta *commit.Meta) (*tableImage, error) {
+	r := commit.NewBlobReader(blob)
+	if magic := r.Uint64(); r.Err == nil && magic != blobMagic {
 		return nil, fmt.Errorf("core: bad table blob magic %#x", magic)
 	}
-	if img.epochID, err = next(); err != nil {
-		return nil, err
-	}
-	n, err := next()
-	if err != nil {
-		return nil, err
-	}
-	if off+int(n) > len(blob) {
-		return nil, fmt.Errorf("core: truncated CPU state")
-	}
-	img.cpuState = append([]byte(nil), blob[off:off+int(n)]...)
-	off += int(n)
-	nb, err := next()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nb; i++ {
-		phys, err := next()
-		if err != nil {
-			return nil, err
+	img := &tableImage{epochID: r.Uint64()}
+	img.cpuState = append([]byte(nil), r.Bytes(r.Uint64())...)
+	for _, l := range [2]struct {
+		recs *[]tableRec
+		size uint64
+	}{{&img.blocks, mem.BlockSize}, {&img.pages, mem.PageSize}} {
+		for n := r.Uint64(); n > 0 && r.Err == nil; n-- {
+			rec := tableRec{phys: r.Uint64(), slot: r.Uint64()}
+			if r.Err == nil && (!meta.InHome(rec.phys, l.size) || !meta.SlotOK(rec.slot, l.size)) {
+				return nil, fmt.Errorf("core: table entry %d -> %#x outside the device layout", rec.phys, rec.slot)
+			}
+			*l.recs = append(*l.recs, rec)
 		}
-		slot, err := next()
-		if err != nil {
-			return nil, err
-		}
-		img.blocks = append(img.blocks, struct{ phys, slot uint64 }{phys, slot})
 	}
-	np, err := next()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < np; i++ {
-		phys, err := next()
-		if err != nil {
-			return nil, err
-		}
-		slot, err := next()
-		if err != nil {
-			return nil, err
-		}
-		img.pages = append(img.pages, struct{ phys, slot uint64 }{phys, slot})
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	return img, nil
 }
@@ -275,13 +142,10 @@ func (c *Controller) Crash(at mem.Cycle) {
 	c.ckptInFlight = false
 	c.overflowReq = false
 	c.homeCopyMaxDone = 0
-	for i := range c.tableArea {
-		c.tableArea[i] = struct{ addr, size uint64 }{}
-	}
-	// The volatile mirror of the durable generation-safety floor is lost;
-	// Recover restores it from the guard record.
-	c.guardFloor = 0
-	c.guardFloorDone = 0
+	// The blob-area table and the volatile mirror of the durable
+	// generation-safety floor are lost; Recover restores the floor from the
+	// guard record.
+	c.meta.Crash()
 	// nvmBump and seq are restored by Recover from durable metadata.
 	c.nvmBump = c.nvmBumpStart
 	c.seq = 0
@@ -315,144 +179,36 @@ func (c *Controller) Recover() ([]byte, mem.Cycle, error) {
 	c.recoverCut = 0
 	armed := cut > 0
 	c.lastRecovery = ctl.RecoveryReport{}
-	t := mem.Cycle(0)
 
-	// Classify every retained header slot: empty (never written), valid
-	// (header and blob checksums hold), or damaged. Damage is attributed
-	// before it weighs on the verdict, because torn in-flight writes and
-	// media faults have opposite contracts:
-	//
-	//   - An undecodable slot with no media read failure under it is a
-	//     commit torn by the crash itself. That commit was never
-	//     acknowledged, so ignoring the slot loses nothing durable.
-	//   - An undecodable slot whose read tripped the integrity layer is
-	//     media damage; whatever it held may have been acknowledged.
-	//   - A slot whose header decodes but whose blob checksum fails proves
-	//     an acknowledged commit existed (the header is ordered after its
-	//     blob, so a durable valid header implies the blob was durable
-	//     once). Damage there is either normal rotation wear (a newer
-	//     commit recycled the blob area: seq below the newest intact) or
-	//     destroyed committed data (seq at or above it).
-	var best *header
-	var bestBlob []byte
-	tornSlots := 0 // torn unacknowledged commits: harmless crash wear
-	mediaDamage := 0
-	blobDamage := 0 // decodable header, corrupt blob: an acked commit damaged
-	type slotDamage struct {
-		blind bool
-		seq   uint64
-	}
-	damaged := make([]slotDamage, 0, len(c.headerAddr))
-	hbuf := make([]byte, headerSize)
-	for i := range c.headerAddr {
-		intBase := c.readFailureCount()
-		t = c.nvm.Read(t, c.headerAddr[i], hbuf)
-		if allZero(hbuf) {
-			continue
-		}
-		h, ok := decodeHeader(hbuf)
-		if !ok {
-			if c.readFailureCount() != intBase {
-				mediaDamage++
-				damaged = append(damaged, slotDamage{blind: true})
-			} else {
-				tornSlots++
-			}
-			continue
-		}
-		blob := make([]byte, h.tableLen)
-		t = c.nvm.Read(t, h.tableAddr, blob)
-		if fnv64(blob) != h.tableSum {
-			blobDamage++
-			damaged = append(damaged, slotDamage{seq: h.seq})
-			continue
-		}
-		if best == nil || h.seq > best.seq {
-			hh := h
-			best = &hh
-			bestBlob = blob
-		}
-	}
-	realDamage := mediaDamage + blobDamage
-	depth := 0 // damaged generations newer than the one recovered to
-	for _, d := range damaged {
-		// A stale slot whose blob area was recycled by a newer commit is
-		// normal wear of the rotation, not a walked-past generation.
-		if d.blind || best == nil || d.seq > best.seq {
-			depth++
-		}
-	}
-
-	// The generation-safety floor: the lowest generation whose image is
-	// still intact on media (older generations' slots or Home bytes have
-	// been overwritten since).
-	floor := uint64(0)
-	guardDamaged := false
-	if c.guardOn {
-		gbuf := make([]byte, headerSize)
-		t = c.nvm.Read(t, c.guardAddr, gbuf)
-		if !allZero(gbuf) {
-			if f, ok := decodeGuard(gbuf); ok {
-				floor = f
-			} else {
-				guardDamaged = true
-			}
-		}
-	}
+	// Classify every retained generation and read the durable floor, then
+	// apply the shared decision table (internal/commit).
+	sc, t := c.meta.Scan(c.nvm, 0)
 	if armed && t >= cut {
 		return c.interruptRecovery(cut)
 	}
-
-	unrecoverable := func(format string, args ...any) ([]byte, mem.Cycle, error) {
-		c.lastRecovery.Class = ctl.Unrecoverable
-		c.lastRecovery.FallbackDepth = depth
-		args = append(args, ctl.ErrUnrecoverable)
-		return nil, t, fmt.Errorf("core: "+format+": %w", args...)
+	rep, err := sc.Verdict()
+	if err != nil {
+		c.lastRecovery = rep
+		return nil, t, err
 	}
-
-	if guardDamaged {
-		if realDamage > 0 {
-			// Without a trustworthy floor, falling back past the newest
-			// generation cannot be proven safe.
-			return unrecoverable("generation guard and %d retained slot(s) damaged", realDamage)
-		}
-		// Every slot is intact or merely torn: recovering to the newest is
-		// always safe.
-		if best != nil {
-			floor = best.seq
-		}
-	}
-	if best == nil {
-		if realDamage > 0 || floor > 0 {
-			// Acknowledged checkpoints existed (damaged committed slots or
-			// a raised floor prove it); restarting from the initial image
-			// would silently lose them. Torn slots alone do not refuse:
-			// they were never acknowledged.
-			return unrecoverable("no intact checkpoint among %d retained slot(s)", len(c.headerAddr))
-		}
+	if !sc.Found {
 		// Cold start: nothing ever committed; Home is authoritative —
 		// after the integrity scrub clears the initial image.
-		if c.integOn {
-			if fails := c.nvmStore.VerifyRange(0, c.cfg.PhysBytes); len(fails) > 0 {
-				c.lastRecovery.ChecksumFailures = len(fails)
-				return unrecoverable("%d corrupt block(s) in the initial image", len(fails))
-			}
+		if rep, err := c.meta.Scrub(&sc); err != nil {
+			c.lastRecovery = rep
+			return nil, t, err
 		}
 		c.epochID = 0
 		c.epochStart = t
 		c.seq = 0
-		c.lastRecovery = ctl.RecoveryReport{Class: ctl.RecoveredClean, ColdStart: true}
+		c.lastRecovery = rep
 		return nil, t, nil
 	}
-	if best.seq < floor {
-		return unrecoverable("newest intact checkpoint %d predates the generation-safety floor %d",
-			best.seq, floor)
-	}
-	img, err := parseTables(bestBlob)
+	best := sc.Best
+	img, err := parseTables(sc.BestBlob, c.meta)
 	if err != nil {
-		c.lastRecovery.Class = ctl.Unrecoverable
-		c.lastRecovery.FallbackDepth = depth
-		return nil, t, fmt.Errorf("core: valid header %d names unparsable table: %w", best.seq, err)
+		c.lastRecovery, err = sc.Refuse("valid header %d names unparsable table: %w", best.Seq, err)
+		return nil, t, err
 	}
 
 	// Consolidation overwrites Home with generation best's image,
@@ -461,13 +217,9 @@ func (c *Controller) Recover() ([]byte, mem.Cycle, error) {
 	// The consolidation reads are also the integrity check of the
 	// checkpoint slots themselves — any media failure under them aborts
 	// the recovery instead of materializing a poisoned image.
-	c.guardFloor = floor
-	intBase := c.readFailureCount()
-	gd := mem.Cycle(0)
-	if c.guardOn && best.seq > floor {
-		c.raiseGuard(t, best.seq)
-		gd = c.guardFloorDone
-	}
+	c.meta.Guard.Restore(sc.Floor)
+	intBase := c.meta.ReadFailures()
+	gd := c.meta.Guard.Raise(c.nvm, t, t, best.Seq)
 
 	// Consolidate checkpointed data into Home.
 	var blockBuf [mem.BlockSize]byte
@@ -506,35 +258,30 @@ func (c *Controller) Recover() ([]byte, mem.Cycle, error) {
 		return c.interruptRecovery(cut)
 	}
 	t = c.nvm.Flush(t)
-	if c.integOn {
-		if c.readFailureCount() != intBase {
-			return unrecoverable("media errors while reading generation %d checkpoint data", best.seq)
-		}
-		// Post-recovery scrub of the software-visible image: anything
-		// bit-rot or dead cells damaged that consolidation did not
-		// rewrite is caught here, before software sees it.
-		if fails := c.nvmStore.VerifyRange(0, c.cfg.PhysBytes); len(fails) > 0 {
-			c.lastRecovery.ChecksumFailures = len(fails)
-			return unrecoverable("%d corrupt block(s) in the recovered image of generation %d",
-				len(fails), best.seq)
-		}
+	if c.meta.ReadFailures() != intBase {
+		c.lastRecovery, err = sc.Refuse("media errors while reading generation %d checkpoint data", best.Seq)
+		return nil, t, err
+	}
+	// Post-recovery scrub of the software-visible image: anything bit-rot
+	// or dead cells damaged that consolidation did not rewrite is caught
+	// here, before software sees it.
+	if rep, err := c.meta.Scrub(&sc); err != nil {
+		c.lastRecovery = rep
+		return nil, t, err
 	}
 	// Future allocations must not clobber the surviving metadata blob (it
 	// stays authoritative until the next commit) nor, conservatively, the
 	// slots just consolidated.
-	if end := best.tableAddr + best.tableLen; end > maxBump {
+	if end := best.BlobAddr + best.BlobLen; end > maxBump {
 		maxBump = end
 	}
 	c.nvmBump = alignUp(maxBump, mem.PageSize)
-	c.seq = best.seq + 1
+	c.seq = best.Seq + 1
 	c.epochID = img.epochID
 	c.epochStart = t
-	c.lastRecovery = ctl.RecoveryReport{Generation: best.seq, FallbackDepth: depth}
-	if depth > 0 {
-		c.lastRecovery.Class = ctl.RecoveredFallback
-		if c.tele.On() {
-			c.tele.Rec().Event(uint64(t), obs.EvRecoveryFallback, best.seq, uint64(depth))
-		}
+	c.lastRecovery = rep
+	if rep.Class == ctl.RecoveredFallback && c.tele.On() {
+		c.tele.Rec().Event(uint64(t), obs.EvRecoveryFallback, best.Seq, uint64(rep.FallbackDepth))
 	}
 	return img.cpuState, t, nil
 }

@@ -35,7 +35,7 @@ type IntegrityCounters struct {
 // integrityState carries per-block checksums and media-fault state. It is
 // heap-side metadata parallel to the chunks, never part of an mmap image.
 type integrityState struct {
-	sums radix.Table[[]uint64] // per chunk: blocksPerChunk fnv64 sums
+	sums radix.Table[[]uint64] // per chunk: blocksPerChunk Checksum sums
 	dead radix.Table[bool]     // chunk base -> uncorrectable
 
 	zeroSum uint64 // checksum of an all-zero block
@@ -44,8 +44,9 @@ type integrityState struct {
 	counters IntegrityCounters
 }
 
-// storageSum is FNV-1a over one checksum granule.
-func storageSum(b []byte) uint64 {
+// Checksum is 64-bit FNV-1a: the integrity layer's per-block sum, and the
+// checksum every commit record and metadata blob carries (internal/commit).
+func Checksum(b []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for _, c := range b {
 		h ^= uint64(c)
@@ -63,7 +64,7 @@ func (s *Storage) EnableIntegrity() {
 	if s.integ != nil {
 		return
 	}
-	st := &integrityState{zeroSum: storageSum(zeroChunk[:BlockSize])}
+	st := &integrityState{zeroSum: Checksum(zeroChunk[:BlockSize])}
 	s.integ = st
 	s.scanChunks(func(base uint64, chunk []byte) bool {
 		st.resum(base, chunk)
@@ -99,7 +100,7 @@ func (st *integrityState) sumsFor(base uint64) []uint64 {
 func (st *integrityState) resum(base uint64, chunk []byte) {
 	sums := st.sumsFor(base)
 	for i := 0; i < blocksPerChunk; i++ {
-		sums[i] = storageSum(chunk[i*BlockSize : (i+1)*BlockSize])
+		sums[i] = Checksum(chunk[i*BlockSize : (i+1)*BlockSize])
 	}
 }
 
@@ -130,7 +131,7 @@ func (s *Storage) integWrite(addr uint64, data []byte) {
 		}
 		sums := st.sumsFor(base)
 		for b := off / BlockSize; b*BlockSize < off+n; b++ {
-			sums[b] = storageSum(chunk[b*BlockSize : (b+1)*BlockSize])
+			sums[b] = Checksum(chunk[b*BlockSize : (b+1)*BlockSize])
 		}
 		data = data[n:]
 		addr += uint64(n)
@@ -164,7 +165,7 @@ func (s *Storage) integRead(addr uint64, buf []byte) {
 			first := (off + BlockSize - 1) / BlockSize
 			last := (off + n) / BlockSize
 			for b := first; b < last; b++ {
-				if storageSum(chunk[b*BlockSize:(b+1)*BlockSize]) != sums[b] {
+				if Checksum(chunk[b*BlockSize:(b+1)*BlockSize]) != sums[b] {
 					st.counters.ReadFailures++
 				}
 			}
@@ -222,7 +223,7 @@ func (st *integrityState) verifyChunk(base uint64, chunk []byte, fails []uint64)
 	sums := st.sumsFor(base)
 	for b := 0; b < blocksPerChunk; b++ {
 		st.counters.ScrubChecks++
-		if storageSum(chunk[b*BlockSize:(b+1)*BlockSize]) != sums[b] {
+		if Checksum(chunk[b*BlockSize:(b+1)*BlockSize]) != sums[b] {
 			st.counters.ScrubFailures++
 			fails = append(fails, base*storageChunk+uint64(b)*BlockSize)
 		}

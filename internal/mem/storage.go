@@ -129,6 +129,16 @@ func (s *Storage) FootprintBytes() uint64 {
 	return uint64(s.chunks.Len()) * storageChunk
 }
 
+// Holds reports whether n bytes at addr lie inside the storage's address
+// space: the range ends at least a page below 2^64, so the block and chunk
+// walks over it cannot wrap, and on the mmap backend it fits the image's
+// capacity (reading past it panics). The heap backend's space is otherwise
+// unbounded.
+func (s *Storage) Holds(addr, n uint64) bool {
+	end := addr + n
+	return end >= addr && end <= ^uint64(0)-PageSize && (s.mm == nil || end <= s.mm.capB)
+}
+
 // touchedChunks counts chunks ever written.
 func (s *Storage) touchedChunks() int {
 	if s.mm != nil {

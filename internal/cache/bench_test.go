@@ -73,3 +73,32 @@ func BenchmarkHierarchyFlushDirty(b *testing.B) {
 		now, _ = h.FlushDirty(now, 4)
 	}
 }
+
+// sinkHierarchy keeps BenchmarkNewHierarchy's result live.
+var sinkHierarchy *Hierarchy
+
+// BenchmarkNewHierarchy measures building the paper's three-level
+// hierarchy, which every simulated system does once.
+func BenchmarkNewHierarchy(b *testing.B) {
+	back := newFlatBackend()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkHierarchy = Default(back)
+	}
+}
+
+// BenchmarkInvalidateAll measures dropping a warm hierarchy's contents, as
+// every simulated crash does.
+func BenchmarkInvalidateAll(b *testing.B) {
+	h := Default(newFlatBackend())
+	var buf [mem.BlockSize]byte
+	now := mem.Cycle(0)
+	for a := uint64(0); a < 4<<20; a += mem.BlockSize {
+		now = h.Write(now, a, buf[:])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.InvalidateAll()
+	}
+}

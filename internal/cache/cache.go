@@ -16,6 +16,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"thynvm/internal/mem"
 	"thynvm/internal/obs"
@@ -55,67 +56,62 @@ type LevelStats struct {
 	Flushed    uint64 // dirty blocks cleaned by FlushDirty
 }
 
-type line struct {
-	tag     uint64
-	valid   bool
-	dirty   bool
-	lastUse uint64
-	data    []byte
-}
-
+// level is one set-associative cache in flat, pointer-free arrays. A line
+// is an index set*ways+way into each of them.
 type level struct {
 	spec  LevelSpec
-	sets  [][]line
 	nsets uint64
+	tags  []uint64              // block+1 per line; 0 marks an invalid line
+	used  []uint64              // LRU stamp per line
+	dirty []uint64              // dirty bitmap, bit i%64 of word i/64 for line i
+	data  [][mem.BlockSize]byte // one slab: line i's block is data[i]
 	stats LevelStats
 }
 
+// newLevel builds an empty level; NewHierarchy has checked the spec holds
+// at least one set.
 func newLevel(spec LevelSpec) *level {
 	nsets := spec.SizeB / (spec.Ways * mem.BlockSize)
-	if nsets < 1 {
-		nsets = 1
+	lines := nsets * spec.Ways
+	return &level{spec: spec, nsets: uint64(nsets),
+		tags:  make([]uint64, lines),
+		used:  make([]uint64, lines),
+		dirty: make([]uint64, (lines+63)/64),
+		data:  make([][mem.BlockSize]byte, lines),
 	}
-	l := &level{spec: spec, nsets: uint64(nsets)}
-	l.sets = make([][]line, nsets)
-	for i := range l.sets {
-		ways := make([]line, spec.Ways)
-		for w := range ways {
-			ways[w].data = make([]byte, mem.BlockSize)
-		}
-		l.sets[i] = ways
-	}
-	return l
 }
 
-func (l *level) setOf(block uint64) []line { return l.sets[block%l.nsets] }
+// isDirty reports line i's dirty bit.
+func (l *level) isDirty(i int) bool { return l.dirty[uint(i)/64]>>(uint(i)%64)&1 != 0 }
 
-// lookup returns the way holding block, or nil.
+// lookup returns the line holding block, or -1.
 //
 //thynvm:hotpath
-func (l *level) lookup(block uint64) *line {
-	set := l.setOf(block)
-	for i := range set {
-		if set[i].valid && set[i].tag == block {
-			return &set[i]
+func (l *level) lookup(block uint64) int {
+	base := int(block%l.nsets) * l.spec.Ways
+	for w, tag := range l.tags[base : base+l.spec.Ways] {
+		if tag == block+1 {
+			return base + w
 		}
 	}
-	return nil
+	return -1
 }
 
-// victim picks the replacement way in block's set: an invalid way if one
-// exists, else the LRU way.
-func (l *level) victim(block uint64) *line {
-	set := l.setOf(block)
-	var v *line
-	for i := range set {
-		if !set[i].valid {
-			return &set[i]
+// victim picks the replacement line in block's set: the first invalid way
+// if one exists, else the least recently used way (the lowest on a tie).
+func (l *level) victim(block uint64) int {
+	base := int(block%l.nsets) * l.spec.Ways
+	used := l.used[base : base+l.spec.Ways]
+	v := 0
+	for w, tag := range l.tags[base : base+l.spec.Ways] {
+		if tag == 0 {
+			return base + w
 		}
-		if v == nil || set[i].lastUse < v.lastUse {
-			v = &set[i]
+		if used[w] < used[v] {
+			v = w
 		}
 	}
-	return v
+	return base + v
 }
 
 // Hierarchy is a multi-level write-back, write-allocate cache hierarchy in
@@ -141,7 +137,7 @@ type Hierarchy struct {
 // last) on top of back. With no specs the hierarchy is a transparent
 // pass-through to the backend.
 func NewHierarchy(back Backend, specs ...LevelSpec) *Hierarchy {
-	h := &Hierarchy{back: back}
+	h := &Hierarchy{back: back, levels: make([]*level, 0, len(specs))}
 	for _, s := range specs {
 		if s.Ways <= 0 || s.SizeB < s.Ways*mem.BlockSize {
 			panic(fmt.Sprintf("cache: invalid level spec %+v", s))
@@ -183,12 +179,13 @@ func (h *Hierarchy) Stats() []struct {
 // state that a checkpoint flush would have to write down). O(1).
 func (h *Hierarchy) DirtyBlocks() int { return h.dirty }
 
-// setDirty transitions a line's dirty bit, keeping the global counter.
-func (h *Hierarchy) setDirty(ln *line, d bool) {
-	if ln.dirty == d {
+// setDirty transitions the dirty bit of l's line i, keeping the global
+// counter.
+func (h *Hierarchy) setDirty(l *level, i int, d bool) {
+	if l.isDirty(i) == d {
 		return
 	}
-	ln.dirty = d
+	l.dirty[uint(i)/64] ^= 1 << (uint(i) % 64)
 	if d {
 		h.dirty++
 	} else {
@@ -196,10 +193,10 @@ func (h *Hierarchy) setDirty(ln *line, d bool) {
 	}
 }
 
-// fillFrom fetches block (block index) into level li and all levels above,
-// returning the completion cycle and the line now in level li... The fetch
-// recurses to lower levels or the backend on miss. Evicted dirty victims
-// are written to the level below (or the backend).
+// fetch copies block (a block index) into buf and returns the cycle at
+// which it is available. It looks in level li, then in each level below it,
+// then in the backend; every level that missed installs the block on the
+// way back up, writing a dirty victim to the level below (or the backend).
 //
 //thynvm:hotpath
 func (h *Hierarchy) fetch(now mem.Cycle, li int, block uint64, buf []byte) mem.Cycle {
@@ -208,11 +205,11 @@ func (h *Hierarchy) fetch(now mem.Cycle, li int, block uint64, buf []byte) mem.C
 	}
 	l := h.levels[li]
 	now += l.spec.HitLat
-	if ln := l.lookup(block); ln != nil {
+	if i := l.lookup(block); i >= 0 {
 		l.stats.Hits++
 		h.tick++
-		ln.lastUse = h.tick
-		copy(buf, ln.data)
+		l.used[i] = h.tick
+		copy(buf, l.data[i][:])
 		return now
 	}
 	l.stats.Misses++
@@ -223,30 +220,29 @@ func (h *Hierarchy) fetch(now mem.Cycle, li int, block uint64, buf []byte) mem.C
 		h.rec.BeginSpan(obs.TrackCache, uint64(now), obs.SpanCacheFetch, obs.CauseExec, block)
 		done := h.fetch(now, li+1, block, buf)
 		h.rec.EndSpan(obs.TrackCache, uint64(done))
-		h.install(done, li, block, buf, false)
+		h.install(done, li, block, buf)
 		return done
 	}
 	done := h.fetch(now, li+1, block, buf)
-	h.install(done, li, block, buf, false)
+	h.install(done, li, block, buf)
 	return done
 }
 
-// install places data for block into level li, evicting as needed.
-// The victim's writeback is charged at cycle now.
-func (h *Hierarchy) install(now mem.Cycle, li int, block uint64, data []byte, dirty bool) {
+// install places a clean copy of data for block into level li, evicting as
+// needed, and returns its line. The victim's writeback is charged at now.
+func (h *Hierarchy) install(now mem.Cycle, li int, block uint64, data []byte) int {
 	l := h.levels[li]
 	v := l.victim(block)
-	if v.valid && v.dirty {
+	if l.isDirty(v) {
 		l.stats.Writebacks++
-		h.setDirty(v, false)
-		h.writeBelow(now, li, v.tag, v.data)
+		h.setDirty(l, v, false)
+		h.writeBelow(now, li, l.tags[v]-1, l.data[v][:])
 	}
-	v.valid = true
-	h.setDirty(v, dirty)
-	v.tag = block
+	l.tags[v] = block + 1
 	h.tick++
-	v.lastUse = h.tick
-	copy(v.data, data)
+	l.used[v] = h.tick
+	copy(l.data[v][:], data)
+	return v
 }
 
 // writeBelow delivers a dirty block evicted from level li to level li+1
@@ -254,11 +250,11 @@ func (h *Hierarchy) install(now mem.Cycle, li int, block uint64, data []byte, di
 func (h *Hierarchy) writeBelow(now mem.Cycle, li int, block uint64, data []byte) {
 	for lj := li + 1; lj < len(h.levels); lj++ {
 		l := h.levels[lj]
-		if ln := l.lookup(block); ln != nil {
-			copy(ln.data, data)
-			h.setDirty(ln, true)
+		if i := l.lookup(block); i >= 0 {
+			copy(l.data[i][:], data)
+			h.setDirty(l, i, true)
 			h.tick++
-			ln.lastUse = h.tick
+			l.used[i] = h.tick
 			return
 		}
 	}
@@ -316,22 +312,21 @@ func (h *Hierarchy) Write(now mem.Cycle, addr uint64, data []byte) mem.Cycle {
 	block := mem.BlockIndex(addr)
 	l1 := h.levels[0]
 	now += l1.spec.HitLat
-	ln := l1.lookup(block)
-	if ln == nil {
+	i := l1.lookup(block)
+	if i < 0 {
 		// Write-allocate: fetch the block, then modify in L1.
 		l1.stats.Misses++
 		blk := h.scratch[:]
 		done := h.fetch(now, 1, block, blk)
-		h.install(done, 0, block, blk, false)
-		ln = l1.lookup(block)
+		i = h.install(done, 0, block, blk)
 		now = done
 	} else {
 		l1.stats.Hits++
 	}
-	copy(ln.data[addr%mem.BlockSize:], data)
-	h.setDirty(ln, true)
+	copy(l1.data[i][addr%mem.BlockSize:], data)
+	h.setDirty(l1, i, true)
 	h.tick++
-	ln.lastUse = h.tick
+	l1.used[i] = h.tick
 	return now
 }
 
@@ -354,20 +349,18 @@ func (h *Hierarchy) FlushDirty(now mem.Cycle, perBlockIssue mem.Cycle) (mem.Cycl
 	flushed := 0
 	// Upper levels hold the newest data; flushing a block from an upper
 	// level supersedes stale dirty copies below, so clean those too.
+	// Ascending bits of a level's bitmap are its lines in (set, way) order.
 	for li, l := range h.levels {
-		for si := range l.sets {
-			set := l.sets[si]
-			for wi := range set {
-				ln := &set[wi]
-				if !ln.valid || !ln.dirty {
-					continue
-				}
+		for wi := range l.dirty {
+			for l.dirty[wi] != 0 {
+				i := wi*64 + bits.TrailingZeros64(l.dirty[wi])
+				block := l.tags[i] - 1
 				now += perBlockIssue
-				now = h.back.WriteBlock(now, ln.tag*mem.BlockSize, ln.data)
-				h.setDirty(ln, false)
+				now = h.back.WriteBlock(now, block*mem.BlockSize, l.data[i][:])
+				h.setDirty(l, i, false)
 				l.stats.Flushed++
 				flushed++
-				h.syncBelow(li, ln.tag, ln.data)
+				h.syncBelow(li, block, l.data[i][:])
 			}
 		}
 	}
@@ -380,9 +373,10 @@ func (h *Hierarchy) FlushDirty(now mem.Cycle, perBlockIssue mem.Cycle) (mem.Cycl
 // data.
 func (h *Hierarchy) syncBelow(li int, block uint64, data []byte) {
 	for lj := li + 1; lj < len(h.levels); lj++ {
-		if ln := h.levels[lj].lookup(block); ln != nil {
-			copy(ln.data, data)
-			h.setDirty(ln, false)
+		l := h.levels[lj]
+		if i := l.lookup(block); i >= 0 {
+			copy(l.data[i][:], data)
+			h.setDirty(l, i, false)
 		}
 	}
 }
@@ -394,8 +388,8 @@ func (h *Hierarchy) syncBelow(li int, block uint64, data []byte) {
 func (h *Hierarchy) PeekOverlay(base uint64, buf []byte) {
 	block := base / mem.BlockSize
 	for _, l := range h.levels {
-		if ln := l.lookup(block); ln != nil {
-			copy(buf, ln.data)
+		if i := l.lookup(block); i >= 0 {
+			copy(buf, l.data[i][:])
 			return
 		}
 	}
@@ -404,13 +398,8 @@ func (h *Hierarchy) PeekOverlay(base uint64, buf []byte) {
 // InvalidateAll drops all cached state (a crash: caches are volatile).
 func (h *Hierarchy) InvalidateAll() {
 	for _, l := range h.levels {
-		for si := range l.sets {
-			set := l.sets[si]
-			for wi := range set {
-				set[wi].valid = false
-				set[wi].dirty = false
-			}
-		}
+		clear(l.tags)
+		clear(l.dirty)
 	}
 	h.dirty = 0
 }

@@ -299,3 +299,25 @@ func TestFlushSyncsLowerLevelCopies(t *testing.T) {
 		t.Fatalf("read %d after flush+eviction, want 42 (stale lower-level copy served)", buf[0])
 	}
 }
+
+// TestHierarchyAllocs guards the flat level layout: building the paper's
+// hierarchy takes a handful of allocations (four arrays per level, not one
+// per line), and a crash's invalidate and a checkpoint's flush take none.
+func TestHierarchyAllocs(t *testing.T) {
+	b := newFlatBackend()
+	if n := testing.AllocsPerRun(10, func() { Default(b) }); n > 32 {
+		t.Errorf("Default allocates %.0f times, want <= 32", n)
+	}
+	h := Default(b)
+	var buf [mem.BlockSize]byte
+	now := mem.Cycle(0)
+	for a := uint64(0); a < 4<<20; a += 4 * mem.BlockSize {
+		now = h.Write(now, a, buf[:])
+	}
+	if n := testing.AllocsPerRun(10, func() { now, _ = h.FlushDirty(now, 4) }); n != 0 {
+		t.Errorf("FlushDirty allocates %.0f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(10, h.InvalidateAll); n != 0 {
+		t.Errorf("InvalidateAll allocates %.0f times, want 0", n)
+	}
+}

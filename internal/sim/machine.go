@@ -254,12 +254,9 @@ func (m *Machine) Peek(addr uint64, buf []byte) {
 		if n > len(buf) {
 			n = len(buf)
 		}
-		// The cache holds the newest copy when present; reading through
-		// the hierarchy untimed is not supported, so consult the
-		// controller and overlay dirty cache state via a timed-less path:
-		// use hierarchy state by reading at current time WITHOUT retiring
-		// an op would disturb LRU/timing. Instead flushless peek: the
-		// hierarchy's dirty data is what PeekDirty overlays.
+		// Take the controller's software-visible block, then let a cached
+		// copy, which is newer when a level holds one, replace it.
+		// Neither call advances time or touches replacement state.
 		base := mem.BlockAlign(addr)
 		m.ctrl.PeekBlock(base, block[:])
 		m.hier.PeekOverlay(base, block[:])

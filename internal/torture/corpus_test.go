@@ -75,3 +75,51 @@ func TestCanarySeedsStillDetected(t *testing.T) {
 		}
 	}
 }
+
+// labelless is a valid seed without the optional label line.
+const labelless = `thynvm-torture v1
+system thynvm
+phys 1048576
+epoch_ns 50000
+btt 256
+ptt 64
+footprint 65536
+op w 0 64 1
+op k
+op x
+end
+`
+
+// FuzzParseSchedule feeds the seed parser arbitrary text. It must never
+// panic, and whatever it accepts must survive the canonical round trip:
+// the encoding parses again and encodes to the same bytes.
+func FuzzParseSchedule(f *testing.F) {
+	for _, dir := range []string{"corpus", "canary"} {
+		paths, err := filepath.Glob(filepath.Join("testdata", dir, "*.seed"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, p := range paths {
+			text, err := os.ReadFile(p)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(string(text))
+		}
+	}
+	f.Add(labelless)
+	f.Fuzz(func(t *testing.T, text string) {
+		s, err := Parse(text)
+		if err != nil {
+			return
+		}
+		enc := s.Encode()
+		again, err := Parse(enc)
+		if err != nil {
+			t.Fatalf("accepted %q, but its encoding %q fails to parse: %v", text, enc, err)
+		}
+		if got := again.Encode(); got != enc {
+			t.Fatalf("encoding of %q is unstable:\n%s\nvs\n%s", text, enc, got)
+		}
+	})
+}

@@ -174,7 +174,9 @@ func (s *Schedule) Encode() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "thynvm-torture v1\n")
 	fmt.Fprintf(&b, "system %s\n", s.System)
-	fmt.Fprintf(&b, "label %s\n", s.Label)
+	if s.Label != "" {
+		fmt.Fprintf(&b, "label %s\n", s.Label)
+	}
 	if s.Backend != "" && s.Backend != "heap" {
 		fmt.Fprintf(&b, "backend %s\n", s.Backend)
 	}

@@ -12,6 +12,7 @@
 //	thynvm-torture -seed 7 -out failing.seed              # save first violation (shrunk)
 //	thynvm-torture -media bitrot:0:24 -gens 4             # media-fault sweep
 //	thynvm-torture -diff seed-file.seed                   # one schedule, all five systems
+//	thynvm-torture -seed 42 -cpuprofile torture.prof      # CPU profile of the run
 //
 // -media stamps every schedule with a media-fault directive (kind:seed:count;
 // a zero seed derives a per-schedule one): after each crash, that many
@@ -38,6 +39,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"strings"
 
 	"thynvm/internal/torture"
@@ -83,10 +85,22 @@ func run() error {
 		inject    = flag.String("inject", "", "inject a silent fault: target:nth:mode:arg (e.g. data:2:flip:5) — test-only bug the campaign must catch")
 		media     = flag.String("media", "", "stamp every schedule with media faults: kind:seed:count (e.g. bitrot:0:24; seed 0 derives per-schedule seeds)")
 		gens      = flag.Int("gens", 0, "retained checkpoint generations per schedule (0 = scheme default pair)")
+		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
 		return usageError{fmt.Errorf("unexpected arguments %v", flag.Args())}
+	}
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return err
+		}
+		defer pprof.StopCPUProfile()
 	}
 
 	if *replay != "" {

@@ -40,7 +40,7 @@ func NewHashTable(m Memory, arena *alloc.Arena, headerAddr uint64, nbuckets uint
 	if nbuckets == 0 {
 		return nil, fmt.Errorf("kv: nbuckets must be positive")
 	}
-	io := memIO{m}
+	io := memIO{m, new([8]byte)}
 	bucket, err := arena.Alloc(int(nbuckets * 8))
 	if err != nil {
 		return nil, err
@@ -58,7 +58,7 @@ func NewHashTable(m Memory, arena *alloc.Arena, headerAddr uint64, nbuckets uint
 // recovery path: the header and all nodes live in (recovered) persistent
 // memory.
 func OpenHashTable(m Memory, arena *alloc.Arena, headerAddr uint64) (*HashTable, error) {
-	io := memIO{m}
+	io := memIO{m, new([8]byte)}
 	if got := io.readU64(headerAddr); got != htMagic {
 		return nil, fmt.Errorf("kv: no hash table at %#x (magic %#x)", headerAddr, got)
 	}

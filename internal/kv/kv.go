@@ -32,19 +32,22 @@ type Store interface {
 	Len() (uint64, error)
 }
 
-// memIO wraps Memory with integer helpers.
-type memIO struct{ m Memory }
+// memIO wraps Memory with integer helpers. w is the store's one word of
+// scratch: a local array would escape through the Memory interface and
+// cost an allocation per word. A store runs on one goroutine.
+type memIO struct {
+	m Memory
+	w *[8]byte
+}
 
 func (io memIO) readU64(addr uint64) uint64 {
-	var b [8]byte
-	io.m.Read(addr, b[:])
-	return binary.LittleEndian.Uint64(b[:])
+	io.m.Read(addr, io.w[:])
+	return binary.LittleEndian.Uint64(io.w[:])
 }
 
 func (io memIO) writeU64(addr, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	io.m.Write(addr, b[:])
+	binary.LittleEndian.PutUint64(io.w[:], v)
+	io.m.Write(addr, io.w[:])
 }
 
 // fitsExtent reports whether a new value of n bytes fits the extent that

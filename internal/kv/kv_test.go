@@ -307,3 +307,32 @@ func TestRunMixSameSeedReproducible(t *testing.T) {
 		t.Error("different seeds produced identical statistics")
 	}
 }
+
+// arrayMem is a Memory over a fixed array; it never allocates.
+type arrayMem [64 << 10]byte
+
+func (m *arrayMem) Read(addr uint64, buf []byte)   { copy(buf, m[addr:]) }
+func (m *arrayMem) Write(addr uint64, data []byte) { copy(m[addr:], data) }
+
+// TestLenDoesNotAllocate pins the stores' word scratch: a word read
+// through the Memory interface must not heap-allocate its buffer.
+func TestLenDoesNotAllocate(t *testing.T) {
+	m := new(arrayMem)
+	a := alloc.MustNew(arenaBase, 32<<10)
+	h, err := NewHashTable(m, a, headerAddr, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewRBTree(m, a, headerAddr+htHeaderSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		st   Store
+	}{{"hash", h}, {"rbtree", tr}} {
+		if n := testing.AllocsPerRun(100, func() { c.st.Len() }); n != 0 {
+			t.Errorf("%s: Len allocates %v times per call, want 0", c.name, n)
+		}
+	}
+}

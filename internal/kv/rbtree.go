@@ -42,7 +42,7 @@ const (
 
 // NewRBTree creates an empty tree with its header at headerAddr.
 func NewRBTree(m Memory, arena *alloc.Arena, headerAddr uint64) (*RBTree, error) {
-	io := memIO{m}
+	io := memIO{m, new([8]byte)}
 	io.writeU64(headerAddr, rbMagic)
 	io.writeU64(headerAddr+8, 0)
 	io.writeU64(headerAddr+16, 0)
@@ -51,7 +51,7 @@ func NewRBTree(m Memory, arena *alloc.Arena, headerAddr uint64) (*RBTree, error)
 
 // OpenRBTree attaches to an existing tree at headerAddr (post-recovery).
 func OpenRBTree(m Memory, arena *alloc.Arena, headerAddr uint64) (*RBTree, error) {
-	io := memIO{m}
+	io := memIO{m, new([8]byte)}
 	if got := io.readU64(headerAddr); got != rbMagic {
 		return nil, fmt.Errorf("kv: no red-black tree at %#x (magic %#x)", headerAddr, got)
 	}

@@ -108,7 +108,61 @@ const (
 	headOffCap     = 24
 	headOffTouched = 32
 	headOffSyncSeq = 40
+	headLen        = 48
 )
+
+// ErrBadImage is wrapped by every rejection of an mmap image head.
+var ErrBadImage = errors.New("mem: bad mmap image")
+
+// badHead formats a head rejection. The %.0w verb wraps ErrBadImage
+// without printing it, so errors.Is finds the sentinel while the message
+// reads as the description alone.
+func badHead(format string, args ...any) error {
+	return fmt.Errorf(format+"%.0w", append(args, ErrBadImage)...)
+}
+
+// putMmapHead encodes an image head declaring capBytes of data and the
+// given sync sequence.
+func putMmapHead(head []byte, capBytes, syncSeq uint64) {
+	binary.LittleEndian.PutUint64(head[headOffMagic:], mmapMagic)
+	binary.LittleEndian.PutUint64(head[headOffVersion:], mmapVersion)
+	binary.LittleEndian.PutUint64(head[headOffChunk:], storageChunk)
+	binary.LittleEndian.PutUint64(head[headOffCap:], capBytes)
+	binary.LittleEndian.PutUint64(head[headOffSyncSeq:], syncSeq)
+}
+
+// parseMmapHead checks an image head against the size of its file and
+// returns the data capacity and sync sequence it declares. Every
+// rejection wraps ErrBadImage.
+func parseMmapHead(head []byte, size int64) (capBytes, syncSeq uint64, err error) {
+	if size < mmapHead || len(head) < headLen {
+		return 0, 0, badHead("too short for an image head (%d bytes)", size)
+	}
+	if got := binary.LittleEndian.Uint64(head[headOffMagic:]); got != mmapMagic {
+		return 0, 0, badHead("bad image magic %#x (want %#x)", got, uint64(mmapMagic))
+	}
+	if got := binary.LittleEndian.Uint64(head[headOffVersion:]); got != mmapVersion {
+		return 0, 0, badHead("unsupported image version %d (want %d)", got, mmapVersion)
+	}
+	if got := binary.LittleEndian.Uint64(head[headOffChunk:]); got != storageChunk {
+		return 0, 0, badHead("image chunk size %d does not match build (%d)", got, storageChunk)
+	}
+	capBytes = binary.LittleEndian.Uint64(head[headOffCap:])
+	// Bound the declared capacity before deriving sizes from it: a corrupt
+	// head could otherwise overflow the total and alias a tiny file.
+	if capBytes == 0 || capBytes%storageChunk != 0 || capBytes > maxMmapCapacity {
+		return 0, 0, badHead("implausible image capacity %d in head", capBytes)
+	}
+	total := mmapHead + mmapMetaBytes(capBytes) + capBytes
+	if uint64(size) < total {
+		return 0, 0, badHead("image truncated: file is %d bytes but the head declares %d (capacity %d) — refusing a partial image",
+			size, total, capBytes)
+	}
+	if uint64(size) != total {
+		return 0, 0, badHead("image capacity %d inconsistent with file size %d", capBytes, size)
+	}
+	return capBytes, binary.LittleEndian.Uint64(head[headOffSyncSeq:]), nil
+}
 
 // mmapMetaBytes is the size of the touched-chunk bitmap region for a data
 // capacity, rounded up to whole pages.
@@ -175,16 +229,14 @@ func NewMmapStorage(path string, capBytes uint64) (*Storage, error) {
 		data:    mapping[mmapHead+mmapMetaBytes(capBytes):],
 		capB:    capBytes,
 	}
-	binary.LittleEndian.PutUint64(mapping[headOffMagic:], mmapMagic)
-	binary.LittleEndian.PutUint64(mapping[headOffVersion:], mmapVersion)
-	binary.LittleEndian.PutUint64(mapping[headOffChunk:], storageChunk)
-	binary.LittleEndian.PutUint64(mapping[headOffCap:], capBytes)
+	putMmapHead(mapping, capBytes, 0)
 	return &Storage{mm: mm}, nil
 }
 
 // OpenMmapStorage reattaches to an existing image file, validating its
-// header. Contents written (and synced) by a previous run are visible
-// immediately — restore costs no copying.
+// header; a rejected header's error wraps ErrBadImage. Contents written
+// (and synced) by a previous run are visible immediately — restore costs
+// no copying.
 func OpenMmapStorage(path string) (*Storage, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
@@ -200,36 +252,17 @@ func OpenMmapStorage(path string) (*Storage, error) {
 	if err != nil {
 		return fail(fmt.Errorf("mem: mmap storage: %w", err))
 	}
-	if st.Size() < mmapHead {
-		return fail(fmt.Errorf("mem: %s: too short for an image head (%d bytes)", path, st.Size()))
+	var head [headLen]byte
+	if st.Size() >= mmapHead {
+		if _, err := f.ReadAt(head[:], 0); err != nil {
+			return fail(fmt.Errorf("mem: %s: reading head: %w", path, err))
+		}
 	}
-	var head [48]byte
-	if _, err := f.ReadAt(head[:], 0); err != nil {
-		return fail(fmt.Errorf("mem: %s: reading head: %w", path, err))
-	}
-	if got := binary.LittleEndian.Uint64(head[headOffMagic:]); got != mmapMagic {
-		return fail(fmt.Errorf("mem: %s: bad image magic %#x (want %#x)", path, got, uint64(mmapMagic)))
-	}
-	if got := binary.LittleEndian.Uint64(head[headOffVersion:]); got != mmapVersion {
-		return fail(fmt.Errorf("mem: %s: unsupported image version %d (want %d)", path, got, mmapVersion))
-	}
-	if got := binary.LittleEndian.Uint64(head[headOffChunk:]); got != storageChunk {
-		return fail(fmt.Errorf("mem: %s: image chunk size %d does not match build (%d)", path, got, storageChunk))
-	}
-	capBytes := binary.LittleEndian.Uint64(head[headOffCap:])
-	// Bound the declared capacity before deriving sizes from it: a corrupt
-	// head could otherwise overflow the total and alias a tiny file.
-	if capBytes == 0 || capBytes%storageChunk != 0 || capBytes > maxMmapCapacity {
-		return fail(fmt.Errorf("mem: %s: implausible image capacity %d in head", path, capBytes))
+	capBytes, syncSeq, err := parseMmapHead(head[:], st.Size())
+	if err != nil {
+		return fail(fmt.Errorf("mem: %s: %w", path, err))
 	}
 	total := mmapHead + mmapMetaBytes(capBytes) + capBytes
-	if uint64(st.Size()) < total {
-		return fail(fmt.Errorf("mem: %s: image truncated: file is %d bytes but the head declares %d (capacity %d) — refusing a partial image",
-			path, st.Size(), total, capBytes))
-	}
-	if uint64(st.Size()) != total {
-		return fail(fmt.Errorf("mem: %s: image capacity %d inconsistent with file size %d", path, capBytes, st.Size()))
-	}
 	mapping, err := mmapFile(f, int(total))
 	if err != nil {
 		return fail(fmt.Errorf("mem: mmap storage: mapping %s: %w", path, err))
@@ -241,7 +274,7 @@ func OpenMmapStorage(path string) (*Storage, error) {
 		bitmap:  mapping[mmapHead : mmapHead+mmapMetaBytes(capBytes)],
 		data:    mapping[mmapHead+mmapMetaBytes(capBytes):],
 		capB:    capBytes,
-		syncSeq: binary.LittleEndian.Uint64(head[headOffSyncSeq:]),
+		syncSeq: syncSeq,
 	}
 	// The bitmap, not the head's count, is authoritative: the count is only
 	// refreshed on Sync and the previous run may not have synced.

@@ -1,6 +1,9 @@
 package mem
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -203,6 +206,9 @@ func TestMmapOpenRejectsBadImages(t *testing.T) {
 		if !strings.Contains(err.Error(), frag) {
 			t.Fatalf("OpenMmapStorage(%s) error %q, want it to contain %q", path, err, frag)
 		}
+		if !errors.Is(err, ErrBadImage) {
+			t.Fatalf("OpenMmapStorage(%s) error %q does not wrap ErrBadImage", path, err)
+		}
 	}
 
 	magic := mk("magic.img")
@@ -248,6 +254,49 @@ func TestMmapOpenRejectsBadImages(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantErr(short, "too short")
+}
+
+// FuzzMmapHead feeds arbitrary image heads and file sizes to the head
+// decoder OpenMmapStorage runs before it maps anything. It must never
+// panic, every rejection must wrap ErrBadImage, and every accepted head
+// must re-encode to the same fields.
+func FuzzMmapHead(f *testing.F) {
+	const capBytes = 1 << 20
+	size := int64(mmapHead + mmapMetaBytes(capBytes) + capBytes)
+	valid := make([]byte, headLen)
+	putMmapHead(valid, capBytes, 7)
+	patched := func(off int, b ...byte) []byte {
+		h := append([]byte(nil), valid...)
+		copy(h[off:], b)
+		return h
+	}
+	f.Add(valid, size)
+	f.Add(patched(headOffMagic, 0xde, 0xad), size)
+	f.Add(patched(headOffVersion, 99), size)
+	f.Add(patched(headOffChunk, 0x01, 0x20), size)
+	f.Add(patched(headOffCap, 0xff, 0xff, 0xff), size)
+	f.Add(patched(headOffCap, 0, 0, 0, 0, 0, 0, 0, 0x80), size)
+	f.Add(valid, size-storageChunk)
+	f.Add(valid, size+storageChunk)
+	f.Add([]byte("tiny"), int64(4))
+	f.Fuzz(func(t *testing.T, head []byte, size int64) {
+		capB, seq, err := parseMmapHead(head, size)
+		if err != nil {
+			if !errors.Is(err, ErrBadImage) {
+				t.Fatalf("rejection %q does not wrap ErrBadImage", err)
+			}
+			return
+		}
+		re := make([]byte, headLen)
+		putMmapHead(re, capB, seq)
+		binary.LittleEndian.PutUint64(re[headOffTouched:], binary.LittleEndian.Uint64(head[headOffTouched:]))
+		if !bytes.Equal(re, head[:headLen]) {
+			t.Fatalf("accepted head %x re-encodes as %x", head[:headLen], re)
+		}
+		if c2, s2, err := parseMmapHead(re, size); err != nil || c2 != capB || s2 != seq {
+			t.Fatalf("re-encoded head parses as (%d, %d, %v), want (%d, %d, nil)", c2, s2, err, capB, seq)
+		}
+	})
 }
 
 // TestCrossBackendEqual proves Equal and Clone are backend-agnostic: the

@@ -126,3 +126,52 @@ func BenchmarkDeviceSettleBatch(b *testing.B) {
 		now = d.Flush(now)
 	}
 }
+
+// benchmarkDevicePost posts block writes and reads a block of the written
+// page after each post, every 8th time the written block itself, so reads
+// forward from the queue. Half the writes go to one hot bank, so bank
+// backlogs are uneven. Time advances to the completion of the write posted
+// depth writes earlier, which holds the queue at a steady depth; the hot
+// bank retires last, so fewer than depth writes stay live. The live count
+// is reported per op.
+func benchmarkDevicePost(b *testing.B, depth int) {
+	spec := NVMSpec()
+	d := NewDevice(spec)
+	var buf [BlockSize]byte
+	const span = 16 << 20
+	rowSpan := spec.RowBytes * uint64(spec.Banks)
+	done := make([]Cycle, depth)
+	now := Cycle(0)
+	live := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		addr := uint64(i*97*BlockSize) % span
+		if i%2 == 0 {
+			addr = uint64(i*7)%(span/rowSpan)*rowSpan + uint64(i*31)%(spec.RowBytes/BlockSize)*BlockSize
+		}
+		k := i % depth
+		if done[k] > now {
+			now = done[k]
+		}
+		var ack Cycle
+		ack, done[k] = d.WriteAt(now, now, addr, buf[:], SrcCPU)
+		now = ack
+		r := PageAlign(addr) + uint64(i*13)%(PageSize/BlockSize)*BlockSize
+		if i%8 == 0 {
+			r = addr
+		}
+		d.Read(now, r, buf[:])
+		live += d.PendingWrites(now)
+	}
+	b.ReportMetric(float64(live)/float64(b.N), "live")
+}
+
+// BenchmarkDevicePostDeep runs the post-and-read loop at the queue depth
+// the KV experiments run at (~290 live writes). The CI depth guard fails
+// when it costs more than 2.5x BenchmarkDevicePostShallow: a queue whose
+// post or forward cost grows linearly with depth.
+func BenchmarkDevicePostDeep(b *testing.B) { benchmarkDevicePost(b, 512) }
+
+// BenchmarkDevicePostShallow runs the same loop at ~32 live writes.
+func BenchmarkDevicePostShallow(b *testing.B) { benchmarkDevicePost(b, 56) }

@@ -1,7 +1,8 @@
 package mem
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"thynvm/internal/obs"
 )
@@ -25,25 +26,40 @@ type bank struct {
 	writeReadyAt  Cycle // earliest cycle the bank can begin draining a write
 }
 
-// pendingMeta describes a posted write that has been scheduled on a bank
-// but is not yet durable (its completion lies in the future). seq is the
-// posting order (1-based, unique per device): the queue itself is kept
-// sorted by completion cycle, so seq is what preserves program order
-// wherever it is observable — overlapping forwards, crash replay, settle
-// batches. The payload lives in Device.slots[slot] (n caches its length):
-// keeping the metadata pointer-free means sifting and compacting the
-// queue moves plain words, with no GC write barriers.
-type pendingMeta struct {
+// slot owns one posted write that is scheduled on the banks but not yet
+// durable: where it lands, its posting order and its payload. seq is
+// 1-based and unique per device; completion order is the heap's, so seq
+// is what preserves program order wherever it is observable: overlapping
+// forwards, crash replay, settle batches. A reused slot keeps its
+// buffer's capacity, so steady-state posts copy into memory the device
+// already owns.
+type slot struct {
 	addr uint64
+	seq  uint64
+	buf  []byte
+}
+
+// pending is one entry of the completion heap, a binary min-heap on done.
+// Ties need no order: settling pops every write done by now and sorts the
+// batch by seq. Entries hold no pointers, so sifting moves plain words
+// with no GC write barriers.
+type pending struct {
 	done Cycle
 	seq  uint64
 	slot int32
-	n    int32
 }
 
-// pendBuckets sizes the direct-mapped page-granular occupancy filter that
-// lets reads skip the pending-queue scan. Power of two; 4096 buckets cover
-// 16 MiB of distinct pages before aliasing.
+// link is one node of a page bucket's forwarding chain: the chain is
+// circular, and next of the newest link is the oldest.
+type link struct {
+	slot int32
+	next int32
+}
+
+// pendBuckets sizes the direct-mapped page buckets whose chains index the
+// live writes for forwarding. Power of two; 4096 buckets cover 16 MiB of
+// distinct pages before aliasing, and the overlap test filters the
+// writes of aliased pages out of a shared chain.
 const pendBuckets = 4096
 
 // WriteFault intercepts a posted write before it enters the queue (fault
@@ -95,27 +111,25 @@ type Device struct {
 	banks []bank
 	store *Storage
 
-	// The posted-write queue is a completion-ordered run: pq[head:] is
-	// sorted by done (ties in posting order), so settleBatch retires whole
-	// completed runs as prefix pops instead of rescanning the queue, and
-	// minDone is simply the head entry's completion. Entries [0,head) are
-	// retired and reclaimed by periodic compaction. Payloads sit in slots
-	// (stable while the write is in flight, indices recycled through
-	// freeSlot) so queue maintenance never moves pointers.
-	pq       []pendingMeta
-	head     int
-	slots    [][]byte
+	// The posted-write queue. Each write in flight owns a slot (indices
+	// reused through freeSlot); heap orders the slots by completion, so
+	// settle pops the writes durable by now and the root is the earliest
+	// completion; maxDone is the latest completion in the heap.
+	slots    []slot
 	freeSlot []int32
-	seqCtr   uint64   // posting counter; next write gets seqCtr+1
-	minDone  Cycle    // pq[head].done (valid when the live run is non-empty)
-	free     [][]byte // recycled posted-write buffers, reused by WriteAt
+	heap     []pending
+	seqCtr   uint64 // posting counter; next write gets seqCtr+1
+	maxDone  Cycle  // valid while the heap is non-empty
 
-	// pendCnt counts live pending writes per direct-mapped page bucket
-	// (incremented on post, decremented on retire). Reads consult it to
-	// skip the queue scan when no live write can overlap them; aliasing
-	// 4096 pages apart only costs a redundant scan, never a missed
-	// forward.
-	pendCnt [pendBuckets]uint16
+	// chain[b] is the newest link of page bucket b's chain, 0 when no
+	// live write covers a page of the bucket. A write links into the chain
+	// of every page it covers, at the tail, so each chain is in posting
+	// order; a page's writes share a bank and retire nearly in that
+	// order, so unlinking finds its link at or next to the head. links[0]
+	// is a sentinel, so 0 means none; freeLink heads the free links.
+	chain    [pendBuckets]int32
+	links    []link
+	freeLink int32
 
 	stats DeviceStats
 
@@ -155,6 +169,7 @@ func NewDeviceStorage(spec DeviceSpec, store *Storage) *Device {
 		spec:  spec,
 		banks: make([]bank, spec.Banks),
 		store: store,
+		links: make([]link, 1),
 	}
 	for i := range d.banks {
 		d.banks[i].readRow = -1
@@ -252,7 +267,7 @@ func (d *Device) access(now Cycle, addr uint64, write bool) (done Cycle) {
 
 // settle applies every pending write that has completed by cycle now.
 //
-// The minDone fast path skips the queue entirely while no completion has
+// The heap-root check skips the queue entirely while no completion has
 // been reached — the overwhelmingly common case, since callers settle on
 // every access but writes take hundreds of cycles to drain. Skipping is
 // unobservable: reads forward pending data over stored bytes (same result
@@ -261,91 +276,116 @@ func (d *Device) access(now Cycle, addr uint64, write bool) (done Cycle) {
 //
 //thynvm:hotpath
 func (d *Device) settle(now Cycle) {
-	if d.head == len(d.pq) || now < d.minDone {
+	if len(d.heap) == 0 || now < d.heap[0].done {
 		return
 	}
 	d.settleBatch(now)
 }
 
-// settleBatch retires the completed run at the head of the queue: because
-// pending[head:] is completion-ordered, the writes durable by now form a
-// prefix, popped in one walk instead of the old full-queue rescan per
-// retirement. The batch is applied to the store in posting (seq) order —
-// the same set and the same relative order the posting-ordered queue
-// replayed per settle call — so store contents stay byte-identical by
-// construction even when completion order inverts posting order across
-// banks. The watermark generalizes to the run boundary: the first entry
-// left alive.
+// settleBatch retires every write durable by now. Each pop parks the root
+// just past the shrinking heap, so the batch ends up behind the live heap
+// in reverse completion order. Completion ties and multi-bank writes can
+// invert posting order, and the store must see posting order (the later
+// write to a byte wins), so the batch is insertion-sorted into descending
+// seq — close to linear, since completion order nearly matches posting
+// order — and applied from the back.
 //
 //thynvm:hotpath
 func (d *Device) settleBatch(now Cycle) {
-	h, n := d.head, len(d.pq)
-	end := h
-	for end < n && d.pq[end].done <= now {
-		end++
+	n := len(d.heap)
+	h := d.heap
+	for len(h) > 0 && h[0].done <= now {
+		last := len(h) - 1
+		h[0], h[last] = h[last], h[0]
+		h = h[:last]
+		siftDown(h)
 	}
-	// Completion ties across banks can invert posting order inside the
-	// batch; restore seq order (almost always already sorted — one compare
-	// per entry) before applying.
-	for i := h + 1; i < end; i++ {
-		if d.pq[i].seq < d.pq[i-1].seq {
-			m := d.pq[i]
-			j := i
-			for j > h && d.pq[j-1].seq > m.seq {
-				d.pq[j] = d.pq[j-1]
-				j--
-			}
-			d.pq[j] = m
+	d.heap = h
+	batch := h[len(h):n]
+	for i := 1; i < len(batch); i++ {
+		for j := i; j > 0 && batch[j-1].seq < batch[j].seq; j-- {
+			batch[j-1], batch[j] = batch[j], batch[j-1]
 		}
 	}
-	for i := h; i < end; i++ {
-		m := &d.pq[i]
-		buf := d.slots[m.slot]
-		d.store.Write(m.addr, buf)
-		d.retireCnt(m.addr, int(m.n))
-		d.recycle(buf)
-		d.freeSlot = append(d.freeSlot, m.slot)
+	for i := len(batch) - 1; i >= 0; i-- {
+		si := batch[i].slot
+		s := &d.slots[si]
+		d.store.Write(s.addr, s.buf)
+		d.unchain(si, s)
+		d.freeSlot = append(d.freeSlot, si)
 	}
-	if end == n {
-		d.pq = d.pq[:0]
-		d.head = 0
+}
+
+// siftDown restores the heap order below a new root.
+func siftDown(h []pending) {
+	if len(h) == 0 {
 		return
 	}
-	d.head = end
-	d.minDone = d.pq[end].done
-	// Reclaim the retired prefix once it dominates the slice, amortizing
-	// the copy over at least as many pops.
-	if end >= 32 && end*2 >= n {
-		live := copy(d.pq, d.pq[end:n])
-		d.pq = d.pq[:live]
-		d.head = 0
-	}
-}
-
-// recycle returns a drained posted-write buffer to the free list for reuse.
-func (d *Device) recycle(buf []byte) {
-	if len(d.free) < d.spec.WriteQueueCap {
-		d.free = append(d.free, buf)
-	}
-}
-
-// getBuf returns a buffer of length n, reusing a recycled one when a recent
-// free-list entry is large enough. Posted-write sizes cluster (block-sized
-// CPU writes, page-sized checkpoint writebacks), so checking the tail of
-// the LIFO free list almost always hits.
-func (d *Device) getBuf(n int) []byte {
-	stop := len(d.free) - 4
-	if stop < 0 {
-		stop = 0
-	}
-	for i := len(d.free) - 1; i >= stop; i-- {
-		if cap(d.free[i]) >= n {
-			b := d.free[i][:n]
-			d.free = append(d.free[:i], d.free[i+1:]...)
-			return b
+	x, i := h[0], 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
 		}
+		if r := c + 1; r < len(h) && h[r].done < h[c].done {
+			c = r
+		}
+		if x.done <= h[c].done {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
-	return make([]byte, n)
+	h[i] = x
+}
+
+// pageSpan returns the pages [lo, hi) that n bytes at addr touch.
+func pageSpan(addr uint64, n int) (lo, hi uint64) {
+	return addr / PageSize, (addr + uint64(n) + PageSize - 1) / PageSize
+}
+
+// chainIn links slot si into the chain of every page its payload covers.
+func (d *Device) chainIn(si int32, s *slot) {
+	lo, hi := pageSpan(s.addr, len(s.buf))
+	for p := lo; p < hi; p++ {
+		l := d.freeLink
+		if l != 0 {
+			d.freeLink = d.links[l].next
+		} else {
+			l = int32(len(d.links))
+			d.links = append(d.links, link{})
+		}
+		tail := &d.chain[p&(pendBuckets-1)]
+		if *tail != 0 {
+			d.links[l] = link{slot: si, next: d.links[*tail].next}
+			d.links[*tail].next = l
+		} else {
+			d.links[l] = link{slot: si, next: l}
+		}
+		*tail = l
+	}
+}
+
+// unchain unlinks slot si from the chains chainIn linked it into.
+func (d *Device) unchain(si int32, s *slot) {
+	lo, hi := pageSpan(s.addr, len(s.buf))
+	for p := lo; p < hi; p++ {
+		tail := &d.chain[p&(pendBuckets-1)]
+		prev := *tail
+		l := d.links[prev].next
+		for d.links[l].slot != si {
+			prev, l = l, d.links[l].next
+		}
+		d.links[prev].next = d.links[l].next
+		if l == *tail {
+			if prev == l {
+				prev = 0 // l was the only link
+			}
+			*tail = prev
+		}
+		d.links[l].next = d.freeLink
+		d.freeLink = l
+	}
 }
 
 // Read performs a blocking read of len(buf) bytes at addr and returns the
@@ -412,85 +452,45 @@ func (d *Device) ReadBackground(now Cycle, addr uint64, buf []byte) Cycle {
 	return done
 }
 
-// postCnt registers a freshly posted write's pages in the occupancy
-// filter.
-//
-//thynvm:hotpath
-func (d *Device) postCnt(addr uint64, n int) {
-	for a := PageAlign(addr); a < addr+uint64(n); a += PageSize {
-		d.pendCnt[(a/PageSize)&(pendBuckets-1)]++
-	}
-}
-
-// retireCnt removes a retired (or crashed-away) write's pages from the
-// occupancy filter; it must mirror postCnt exactly.
-//
-//thynvm:hotpath
-func (d *Device) retireCnt(addr uint64, n int) {
-	for a := PageAlign(addr); a < addr+uint64(n); a += PageSize {
-		d.pendCnt[(a/PageSize)&(pendBuckets-1)]--
-	}
-}
-
-// forwardPending overlays still-queued write data onto buf. The queue is
-// completion-ordered, but forwarding must honor posting order (the newest
-// write to an overlapping range wins), so when more than one live entry
-// overlaps the read the overlay is replayed in ascending seq — a
-// selection walk rather than a sort, since overlap counts above one are
-// rare and tiny. Zero or one overlap — the common cases — skip straight
-// through.
+// forwardPending overlays still-queued write data onto buf, replaying the
+// writes that overlap it in posting order (the newest write to a byte
+// wins). It walks only the chains of the read's own pages, so a read with
+// nothing pending on its pages costs one bucket load per page and stores
+// nothing. Each pass replays the oldest overlapping write not yet
+// replayed: a chain is in posting order, so its first such link is the
+// chain's candidate, and a write linked into several of the read's pages
+// replays once.
 //
 //thynvm:hotpath
 func (d *Device) forwardPending(addr uint64, buf []byte) {
-	n := len(d.pq)
-	if d.head == n {
-		return
-	}
 	end := addr + uint64(len(buf))
-	hit := false
-	for a := PageAlign(addr); a < end; a += PageSize {
-		if d.pendCnt[(a/PageSize)&(pendBuckets-1)] != 0 {
-			hit = true
-			break
-		}
-	}
-	if !hit {
-		return
-	}
-	first, count := 0, 0
-	for i := d.head; i < n; i++ {
-		m := &d.pq[i]
-		if m.addr < end && addr < m.addr+uint64(m.n) {
-			if count == 0 {
-				first = i
-			}
-			count++
-		}
-	}
-	if count == 0 {
-		return
-	}
-	if count == 1 {
-		m := &d.pq[first]
-		forward(addr, buf, m.addr, d.slots[m.slot])
-		return
-	}
-	var last uint64 // seqs are 1-based, so 0 means none applied yet
-	for k := 0; k < count; k++ {
-		best := first
-		var bestSeq uint64
-		for i := first; i < n; i++ {
-			m := &d.pq[i]
-			if m.addr >= end || addr >= m.addr+uint64(m.n) {
+	lo, hi := pageSpan(addr, len(buf))
+	var last uint64 // seqs are 1-based, so 0 means none replayed yet
+	for {
+		var next *slot
+		for p := lo; p < hi; p++ {
+			tail := d.chain[p&(pendBuckets-1)]
+			if tail == 0 {
 				continue
 			}
-			if m.seq > last && (bestSeq == 0 || m.seq < bestSeq) {
-				best, bestSeq = i, m.seq
+			for l := d.links[tail].next; ; l = d.links[l].next {
+				s := &d.slots[d.links[l].slot]
+				if s.seq > last && s.addr < end && addr < s.addr+uint64(len(s.buf)) {
+					if next == nil || s.seq < next.seq {
+						next = s
+					}
+					break
+				}
+				if l == tail {
+					break
+				}
 			}
 		}
-		m := &d.pq[best]
-		forward(addr, buf, m.addr, d.slots[m.slot])
-		last = bestSeq
+		if next == nil {
+			return
+		}
+		forward(addr, buf, next.addr, next.buf)
+		last = next.seq
 	}
 }
 
@@ -538,10 +538,10 @@ func (d *Device) WriteWithCompletion(now Cycle, addr uint64, data []byte, src Wr
 func (d *Device) WriteAt(now, issueAt Cycle, addr uint64, data []byte, src WriteSource) (ack, done Cycle) {
 	d.settle(now)
 	ack = now
-	if len(d.pq)-d.head >= d.spec.WriteQueueCap {
-		// Stall until the oldest outstanding write completes.
-		if d.minDone > ack {
-			ack = d.minDone
+	if len(d.heap) >= d.spec.WriteQueueCap {
+		// Stall until the earliest outstanding write completes.
+		if d.heap[0].done > ack {
+			ack = d.heap[0].done
 		}
 		d.settle(ack)
 		if d.recOn && ack > now {
@@ -550,47 +550,42 @@ func (d *Device) WriteAt(now, issueAt Cycle, addr uint64, data []byte, src Write
 			d.rec.EndSpan(d.track, uint64(ack))
 		}
 	}
-	start := ack
-	if issueAt > start {
-		start = issueAt
-	}
+	start := maxCycle(ack, issueAt)
 	done = start
 	for a := BlockAlign(addr); a < addr+uint64(len(data)); a += BlockSize {
 		if c := d.access(start, a, true); c > done {
 			done = c
 		}
 	}
-	cp := d.getBuf(len(data))
-	copy(cp, data)
+	var si int32
+	if k := len(d.freeSlot) - 1; k >= 0 {
+		si = d.freeSlot[k]
+		d.freeSlot = d.freeSlot[:k]
+	} else {
+		si = int32(len(d.slots))
+		d.slots = append(d.slots, slot{})
+	}
+	s := &d.slots[si]
+	s.buf = append(s.buf[:0], data...)
 	if d.writeFault != nil {
-		if alt := d.writeFault(addr, cp, src); alt != nil {
-			cp = alt
+		if alt := d.writeFault(addr, s.buf, src); alt != nil {
+			s.buf = append(s.buf[:0], alt...)
 		}
 	}
-	// Park the payload in a stable slot, then insert its metadata in
-	// completion order (stable on ties, so seq stays ascending among equal
-	// completions). Same-bank writes complete in posting order, so the
-	// sift almost never moves more than a step or two — and it shifts
-	// pointer-free words only.
-	var slot int32
-	if k := len(d.freeSlot) - 1; k >= 0 {
-		slot = d.freeSlot[k]
-		d.freeSlot = d.freeSlot[:k]
-		d.slots[slot] = cp
-	} else {
-		slot = int32(len(d.slots))
-		d.slots = append(d.slots, cp)
-	}
 	d.seqCtr++
-	m := pendingMeta{addr: addr, done: done, seq: d.seqCtr, slot: slot, n: int32(len(cp))}
-	d.pq = append(d.pq, m)
-	i := len(d.pq) - 1
-	for ; i > d.head && d.pq[i-1].done > done; i-- {
-		d.pq[i] = d.pq[i-1]
+	s.addr, s.seq = addr, d.seqCtr
+	d.chainIn(si, s)
+	// A post into an empty queue restarts the running maximum: a crash
+	// can restart time below the completions it dropped.
+	if len(d.heap) == 0 || done > d.maxDone {
+		d.maxDone = done
 	}
-	d.pq[i] = m
-	d.minDone = d.pq[d.head].done
-	d.postCnt(addr, len(cp))
+	d.heap = append(d.heap, pending{})
+	i := len(d.heap) - 1
+	for ; i > 0 && d.heap[(i-1)/2].done > done; i = (i - 1) / 2 {
+		d.heap[i] = d.heap[(i-1)/2]
+	}
+	d.heap[i] = pending{done: done, seq: s.seq, slot: si}
 	d.stats.Writes++
 	d.stats.BytesWritten += uint64(len(data))
 	if src >= 0 && src < NumWriteSources {
@@ -614,11 +609,12 @@ func (d *Device) Flush(now Cycle) Cycle {
 // MaxPendingDone returns the completion cycle of the latest outstanding
 // posted write, or now if none. Checkpointing uses it to order its commit
 // record after the whole write queue (the paper's "flush the NVM write
-// queue" step) without stalling the issuer. Completion order makes this
-// the tail entry — no scan.
+// queue" step) without stalling the issuer. Settling pops a completion
+// prefix, so the latest completion stays queued until the queue empties
+// and the running maximum needs no scan.
 func (d *Device) MaxPendingDone(now Cycle) Cycle {
-	if n := len(d.pq); n > d.head && d.pq[n-1].done > now {
-		return d.pq[n-1].done
+	if len(d.heap) > 0 && d.maxDone > now {
+		return d.maxDone
 	}
 	return now
 }
@@ -626,7 +622,7 @@ func (d *Device) MaxPendingDone(now Cycle) Cycle {
 // PendingWrites reports how many posted writes are not yet durable at now.
 func (d *Device) PendingWrites(now Cycle) int {
 	d.settle(now)
-	return len(d.pq) - d.head
+	return len(d.heap)
 }
 
 // Crash models a power failure at cycle at: posted writes that have not
@@ -635,29 +631,28 @@ func (d *Device) PendingWrites(now Cycle) int {
 func (d *Device) Crash(at Cycle) {
 	// Apply writes durable by the crash instant in posting order (same-
 	// address writes serialize on the same bank, so posting order matches
-	// durability order there), drop the rest. The live run is completion-
-	// ordered, so restore posting order first — it is about to be emptied
-	// anyway, and torn-persist injectors depend on seeing in-flight writes
-	// in the order they were posted.
-	live := d.pq[d.head:]
-	sort.Slice(live, func(i, j int) bool { return live[i].seq < live[j].seq })
-	for _, m := range live {
-		buf := d.slots[m.slot]
-		if m.done <= at {
-			d.store.Write(m.addr, buf)
+	// durability order there), drop the rest. The heap is about to be
+	// emptied, so sort it into posting order in place: torn-persist
+	// injectors depend on seeing in-flight writes in the order they were
+	// posted.
+	slices.SortFunc(d.heap, bySeq)
+	for _, e := range d.heap {
+		s := &d.slots[e.slot]
+		if e.done <= at {
+			d.store.Write(s.addr, s.buf)
 		} else if d.crashFault != nil {
 			// In flight at the crash instant: normally lost outright, but a
 			// torn-persist injector may keep a partial/corrupted payload.
-			if keep := d.crashFault(m.addr, buf); len(keep) > 0 {
-				d.store.Write(m.addr, keep)
+			if keep := d.crashFault(s.addr, s.buf); len(keep) > 0 {
+				d.store.Write(s.addr, keep)
 			}
 		}
-		d.retireCnt(m.addr, int(m.n))
-		d.recycle(buf)
-		d.freeSlot = append(d.freeSlot, m.slot)
+		d.freeSlot = append(d.freeSlot, e.slot)
 	}
-	d.pq = d.pq[:0]
-	d.head = 0
+	d.heap = d.heap[:0]
+	clear(d.chain[:])
+	d.links = d.links[:1]
+	d.freeLink = 0
 	if d.spec.Volatile {
 		d.store.Clear()
 	}
@@ -684,17 +679,19 @@ func (d *Device) Poke(addr uint64, data []byte) {
 // them. The device itself is not modified.
 func (d *Device) DurableSnapshot(at Cycle) *Storage {
 	s := d.store.Clone()
-	// The durable prefix is completion-ordered; replay it in posting order
-	// (as settle would) without disturbing the device.
-	durable := append([]pendingMeta(nil), d.pq[d.head:]...)
-	sort.Slice(durable, func(i, j int) bool { return durable[i].seq < durable[j].seq })
-	for _, m := range durable {
-		if m.done <= at {
-			s.Write(m.addr, d.slots[m.slot])
+	// Replay the writes durable by at in posting order (as settle would)
+	// without disturbing the device.
+	durable := slices.Clone(d.heap)
+	slices.SortFunc(durable, bySeq)
+	for _, e := range durable {
+		if e.done <= at {
+			s.Write(d.slots[e.slot].addr, d.slots[e.slot].buf)
 		}
 	}
 	return s
 }
+
+func bySeq(a, b pending) int { return cmp.Compare(a.seq, b.seq) }
 
 // BusyUntil returns the latest cycle at which any bank is still busy; used
 // by drivers to account device occupancy.

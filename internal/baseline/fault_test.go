@@ -28,18 +28,11 @@ func corruptAt(nvm *mem.Device, addr uint64) {
 	nvm.Poke(addr, b[:])
 }
 
-// recoverable is the slice of the controller surface the fallback table
-// exercises.
-type recoverable interface {
-	ctl.Controller
-	LastRecovery() ctl.RecoveryReport
-}
-
 // fbState describes a crashed system ready for targeted corruption: which
 // generations committed, where their blobs live, what image and CPU state
 // each one pins, and the lowest generation the durable floor still allows.
 type fbState struct {
-	ctrl     recoverable
+	ctrl     ctl.Controller
 	nvm      *mem.Device
 	blobAddr []uint64 // indexed by generation seq
 	val      []byte   // expected block-0 value per generation
@@ -66,7 +59,7 @@ func buildJournal(t *testing.T) fbState {
 	addr0, size0 := j.meta.AreaSpan(0)
 	j.Crash(now + 1_000_000)
 
-	blob := appendJournal(nil, journalImage{cpu: []byte("cpu-g1"), recs: []journalRec{{0, blockOf(2)}}})
+	blob := appendJournal(nil, []byte("cpu-g1"), []commit.Copy{{Dst: 0, Data: blockOf(2)}})
 	addr1 := (addr0 + size0 + mem.PageSize - 1) &^ (mem.PageSize - 1)
 	j.nvm.Poke(addr1, blob)
 	slot, header := j.meta.Header(1, addr1, blob)
@@ -267,7 +260,7 @@ func TestMalformedMetadataRefused(t *testing.T) {
 					commit.Baseline.EncodeHeader(rec, h)
 					nvm.Poke(meta.HeaderAddr(0), rec)
 					_, _, err = c.Recover()
-					rep := c.(ctl.RecoveryReporter).LastRecovery()
+					rep := c.LastRecovery()
 					if !errors.Is(err, ctl.ErrUnrecoverable) || rep.Class != ctl.Unrecoverable {
 						t.Fatalf("Recover = %v (report %+v), want a typed refusal", err, rep)
 					}
@@ -277,23 +270,25 @@ func TestMalformedMetadataRefused(t *testing.T) {
 	}
 }
 
-// appendJournal is the journal blob layout BeginCheckpoint writes.
-func appendJournal(blob []byte, img journalImage) []byte {
-	blob = append(binary.LittleEndian.AppendUint64(blob, uint64(len(img.cpu))), img.cpu...)
-	blob = binary.LittleEndian.AppendUint64(blob, uint64(len(img.recs)))
-	for _, r := range img.recs {
-		blob = append(binary.LittleEndian.AppendUint64(blob, r.idx), r.data...)
+// appendJournal is the journal blob layout BeginCheckpoint writes: the CPU
+// state, then one (block index, data) record per inline copy.
+func appendJournal(blob, cpu []byte, copies []commit.Copy) []byte {
+	blob = append(binary.LittleEndian.AppendUint64(blob, uint64(len(cpu))), cpu...)
+	blob = binary.LittleEndian.AppendUint64(blob, uint64(len(copies)))
+	for _, c := range copies {
+		blob = append(binary.LittleEndian.AppendUint64(blob, c.Dst/mem.BlockSize), c.Data...)
 	}
 	return blob
 }
 
-// appendShadow is the page-table blob layout flush writes.
-func appendShadow(blob []byte, img shadowImage) []byte {
-	blob = append(binary.LittleEndian.AppendUint64(blob, uint64(len(img.cpu))), img.cpu...)
-	blob = binary.LittleEndian.AppendUint64(blob, uint64(len(img.pages)))
-	for _, r := range img.pages {
-		blob = binary.LittleEndian.AppendUint64(blob, r.phys)
-		blob = binary.LittleEndian.AppendUint64(blob, r.slot)
+// appendShadow is the page-table blob layout flush writes: the CPU state,
+// then one (page index, slot address) record per page copy.
+func appendShadow(blob, cpu []byte, copies []commit.Copy) []byte {
+	blob = append(binary.LittleEndian.AppendUint64(blob, uint64(len(cpu))), cpu...)
+	blob = binary.LittleEndian.AppendUint64(blob, uint64(len(copies)))
+	for _, c := range copies {
+		blob = binary.LittleEndian.AppendUint64(blob, c.Dst/mem.PageSize)
+		blob = binary.LittleEndian.AppendUint64(blob, c.Src)
 	}
 	return blob
 }
@@ -325,22 +320,22 @@ func FuzzDecodeJournal(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(committedBlob(f, j))
-	f.Add(appendJournal(nil, journalImage{}))
+	f.Add(appendJournal(nil, nil, nil))
 	for _, b := range [][]byte{nil, words(0xfffffffffffffff8, 0), words(1<<63 - 1), words(0, 1<<62)} {
 		f.Add(b)
 	}
 	meta := fuzzMeta()
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		img, err := decodeJournal(blob, meta)
+		cpu, copies, err := decodeJournal(blob, meta)
 		if err != nil {
 			return
 		}
-		enc := appendJournal(nil, img)
+		enc := appendJournal(nil, cpu, copies)
 		if !bytes.HasPrefix(blob, enc) {
 			t.Fatalf("re-encoding differs from the accepted blob:\n got %x\nfrom %x", enc, blob)
 		}
-		if again, err := decodeJournal(enc, meta); err != nil || !reflect.DeepEqual(again, img) {
-			t.Fatalf("round trip: (%+v, %v), want %+v", again, err, img)
+		if cpu2, copies2, err := decodeJournal(enc, meta); err != nil || !reflect.DeepEqual(cpu2, cpu) || !reflect.DeepEqual(copies2, copies) {
+			t.Fatalf("round trip: (%q, %+v, %v), want (%q, %+v)", cpu2, copies2, err, cpu, copies)
 		}
 	})
 }
@@ -353,22 +348,22 @@ func FuzzDecodeShadow(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(committedBlob(f, s))
-	f.Add(appendShadow(nil, shadowImage{}))
+	f.Add(appendShadow(nil, nil, nil))
 	for _, b := range [][]byte{nil, words(0xfffffffffffffff8, 0), words(1<<63 - 1), words(0, 1<<62)} {
 		f.Add(b)
 	}
 	meta := fuzzMeta()
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		img, err := decodeShadow(blob, meta)
+		cpu, copies, err := decodeShadow(blob, meta)
 		if err != nil {
 			return
 		}
-		enc := appendShadow(nil, img)
+		enc := appendShadow(nil, cpu, copies)
 		if !bytes.HasPrefix(blob, enc) {
 			t.Fatalf("re-encoding differs from the accepted blob:\n got %x\nfrom %x", enc, blob)
 		}
-		if again, err := decodeShadow(enc, meta); err != nil || !reflect.DeepEqual(again, img) {
-			t.Fatalf("round trip: (%+v, %v), want %+v", again, err, img)
+		if cpu2, copies2, err := decodeShadow(enc, meta); err != nil || !reflect.DeepEqual(cpu2, cpu) || !reflect.DeepEqual(copies2, copies) {
+			t.Fatalf("round trip: (%q, %+v, %v), want (%q, %+v)", cpu2, copies2, err, cpu, copies)
 		}
 	})
 }

@@ -13,16 +13,23 @@ import (
 // bounds (§5.1). Checkpointing is free: a crash magically preserves the
 // latest memory image and the CPU state registered at the last checkpoint
 // boundary. It exists to measure the overhead of the real schemes against.
+//
+// Its durable device (Dev) is the single main memory.
+// Every fault hook lands there, but Crash persists everything in flight, so
+// at-crash tears never fire — consistent with the "crash consistency at no
+// cost" premise — while injected media faults still land and are caught by
+// the recovery-time scrub when integrity is on. Recovery takes 0 cycles, so
+// an armed recovery cut always lies beyond its completion.
 type Ideal struct {
-	cfg          Config
-	dev          *mem.Device
-	name         string
-	epochSt      mem.Cycle
-	cpuState     []byte
-	lastRecovery ctl.RecoveryReport
-	stats        ctl.Stats
-	tele         ctl.EpochSampler
-	anyWork      bool
+	ctl.Durable
+
+	cfg      Config
+	name     string
+	epochSt  mem.Cycle
+	cpuState []byte
+	stats    ctl.Stats
+	tele     ctl.EpochSampler
+	anyWork  bool
 }
 
 var _ ctl.Controller = (*Ideal)(nil)
@@ -41,7 +48,7 @@ func NewIdealDRAM(cfg Config) (*Ideal, error) {
 	if cfg.Integrity {
 		store.EnableIntegrity()
 	}
-	return &Ideal{cfg: cfg, dev: mem.NewDeviceStorage(spec, store), name: "Ideal DRAM"}, nil
+	return &Ideal{Durable: ctl.Durable{Dev: mem.NewDeviceStorage(spec, store)}, cfg: cfg, name: "Ideal DRAM"}, nil
 }
 
 // NewIdealNVM builds the NVM-only ideal system.
@@ -56,23 +63,19 @@ func NewIdealNVM(cfg Config) (*Ideal, error) {
 	if cfg.Integrity {
 		store.EnableIntegrity()
 	}
-	return &Ideal{cfg: cfg, dev: mem.NewDeviceStorage(cfg.NVM, store), name: "Ideal NVM"}, nil
+	return &Ideal{Durable: ctl.Durable{Dev: mem.NewDeviceStorage(cfg.NVM, store)}, cfg: cfg, name: "Ideal NVM"}, nil
 }
 
 // Name identifies the system in reports.
 func (s *Ideal) Name() string { return s.name }
 
-// NVMStorage exposes the main-memory device's backing store (the
-// persistent medium of an ideal system) for backend-level operations.
-func (s *Ideal) NVMStorage() *mem.Storage { return s.dev.Storage() }
-
 // LoadHome pre-loads initial data, bypassing timing.
-func (s *Ideal) LoadHome(addr uint64, data []byte) { s.dev.Poke(addr, data) }
+func (s *Ideal) LoadHome(addr uint64, data []byte) { s.Dev.Poke(addr, data) }
 
 // ReadBlock implements ctl.Controller.
 func (s *Ideal) ReadBlock(now mem.Cycle, addr uint64, buf []byte) mem.Cycle {
 	checkAccess(s.cfg.PhysBytes, addr, len(buf))
-	done := s.dev.Read(now, addr, buf)
+	done := s.Dev.Read(now, addr, buf)
 	if s.tele.On() {
 		s.tele.Rec().Latency(obs.HistBlockRead, uint64(done-now))
 	}
@@ -83,7 +86,7 @@ func (s *Ideal) ReadBlock(now mem.Cycle, addr uint64, buf []byte) mem.Cycle {
 func (s *Ideal) WriteBlock(now mem.Cycle, addr uint64, data []byte) mem.Cycle {
 	checkAccess(s.cfg.PhysBytes, addr, len(data))
 	s.anyWork = true
-	ack := s.dev.Write(now, addr, data, mem.SrcCPU)
+	ack := s.Dev.Write(now, addr, data, mem.SrcCPU)
 	s.tele.StallSpan(now, ack, obs.CauseQueueFull)
 	if s.tele.On() {
 		s.tele.Rec().Latency(obs.HistBlockWrite, uint64(ack-now))
@@ -91,28 +94,11 @@ func (s *Ideal) WriteBlock(now mem.Cycle, addr uint64, data []byte) mem.Cycle {
 	return ack
 }
 
-// SetWriteFault implements ctl.FaultInjectable.
-func (s *Ideal) SetWriteFault(f mem.WriteFault) { s.dev.SetWriteFault(f) }
-
-// SetCrashFault implements ctl.FaultInjectable. Note Crash persists
-// everything (mem.MaxCycle), so at-crash tears never fire on an ideal
-// system — consistent with its "crash consistency at no cost" premise.
-func (s *Ideal) SetCrashFault(f mem.CrashFault) { s.dev.SetCrashFault(f) }
-
-// SetReadFault implements ctl.FaultInjectable (media read errors). The
-// ideal premise covers crash consistency, not media health: injected rot
-// still lands and is caught by the recovery-time scrub when integrity is
-// on.
-func (s *Ideal) SetReadFault(f mem.ReadFault) { s.dev.SetReadFault(f) }
-
-// LastRecovery implements ctl.RecoveryReporter.
-func (s *Ideal) LastRecovery() ctl.RecoveryReport { return s.lastRecovery }
-
-// MetadataKind implements ctl.MetadataMapper: the ideal systems keep no
+// MetadataKind implements ctl.Controller: the ideal systems keep no
 // durable metadata.
 func (s *Ideal) MetadataKind(addr uint64) ctl.MetadataKind { return ctl.MetaNone }
 
-// CommitAt implements ctl.CommitReporter: commits are instantaneous.
+// CommitAt implements ctl.Controller: commits are instantaneous.
 func (s *Ideal) CommitAt() (bool, mem.Cycle) { return false, 0 }
 
 // CheckpointDue implements ctl.Controller: never. The paper's ideal
@@ -153,7 +139,7 @@ func (s *Ideal) DrainCheckpoint(now mem.Cycle) mem.Cycle { return now }
 // Crash implements ctl.Controller. The ideal assumption: even in-flight
 // writes persist (consistency at no cost).
 func (s *Ideal) Crash(at mem.Cycle) {
-	s.dev.Crash(mem.MaxCycle)
+	s.Dev.Crash(mem.MaxCycle)
 }
 
 // Recover implements ctl.Controller: instantaneous, returns the CPU state
@@ -161,10 +147,10 @@ func (s *Ideal) Crash(at mem.Cycle) {
 // software-visible image is scrubbed first — the ideal assumption does not
 // extend to media faults, so damage is refused, never silently returned.
 func (s *Ideal) Recover() ([]byte, mem.Cycle, error) {
-	s.lastRecovery = ctl.RecoveryReport{Class: ctl.RecoveredClean}
+	s.Cut, s.Last = 0, ctl.RecoveryReport{Class: ctl.RecoveredClean}
 	if s.cfg.Integrity {
-		if fails := s.dev.Storage().VerifyRange(0, s.cfg.PhysBytes); len(fails) > 0 {
-			s.lastRecovery = ctl.RecoveryReport{Class: ctl.Unrecoverable, ChecksumFailures: len(fails)}
+		if fails := s.Dev.Storage().VerifyRange(0, s.cfg.PhysBytes); len(fails) > 0 {
+			s.Last = ctl.RecoveryReport{Class: ctl.Unrecoverable, ChecksumFailures: len(fails)}
 			return nil, 0, fmt.Errorf("baseline: %s: %d corrupt block(s) in the memory image: %w",
 				s.name, len(fails), ctl.ErrUnrecoverable)
 		}
@@ -173,15 +159,15 @@ func (s *Ideal) Recover() ([]byte, mem.Cycle, error) {
 }
 
 // PeekBlock implements ctl.Controller.
-func (s *Ideal) PeekBlock(addr uint64, buf []byte) { s.dev.Peek(addr, buf) }
+func (s *Ideal) PeekBlock(addr uint64, buf []byte) { s.Dev.Peek(addr, buf) }
 
 // Stats implements ctl.Controller.
 func (s *Ideal) Stats() ctl.Stats {
 	st := s.stats
-	if s.dev.Spec().Name == "DRAM" {
-		st.DRAM = s.dev.Stats()
+	if s.Dev.Spec().Name == "DRAM" {
+		st.DRAM = s.Dev.Stats()
 	} else {
-		st.NVM = s.dev.Stats()
+		st.NVM = s.Dev.Stats()
 	}
 	return st
 }
@@ -189,6 +175,6 @@ func (s *Ideal) Stats() ctl.Stats {
 // ResetStats implements ctl.Controller.
 func (s *Ideal) ResetStats() {
 	s.stats = ctl.Stats{}
-	s.dev.ResetStats()
+	s.Dev.ResetStats()
 	s.tele.Rebase(s.Stats())
 }

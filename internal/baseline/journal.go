@@ -19,6 +19,8 @@ import (
 // then applied in place — all stop-the-world, which is where journaling's
 // checkpointing overhead (Figure 8) comes from.
 type Journal struct {
+	ctl.Durable // fault hooks, recovery cut and report, over nvm
+
 	cfg  Config
 	nvm  *mem.Device
 	dram *mem.Device
@@ -38,12 +40,10 @@ type Journal struct {
 	nvmBump uint64
 	seq     uint64
 
-	epochSt      mem.Cycle
-	overflow     bool
-	recoverCut   mem.Cycle // one-shot power-failure instant for the next Recover
-	lastRecovery ctl.RecoveryReport
-	stats        ctl.Stats
-	tele         ctl.EpochSampler
+	epochSt  mem.Cycle
+	overflow bool
+	stats    ctl.Stats
+	tele     ctl.EpochSampler
 }
 
 var _ ctl.Controller = (*Journal)(nil)
@@ -62,6 +62,7 @@ func NewJournal(cfg Config) (*Journal, error) {
 		nvm:  mem.NewDeviceStorage(cfg.NVM, nvmStore),
 		dram: mem.NewDevice(cfg.DRAM),
 	}
+	j.Dev = j.nvm
 	j.idxScratch = alloc.NewRegion[uint64](&j.epoch, cfg.JournalEntries)
 	j.blobScratch = alloc.NewRegion[byte](&j.epoch, 4096)
 	j.meta = commit.NewMeta("baseline: journal", commit.Baseline, cfg.PhysBytes, cfg.Generations, cfg.Integrity, nvmStore)
@@ -74,10 +75,6 @@ func NewJournal(cfg Config) (*Journal, error) {
 
 // Name identifies the system in reports.
 func (j *Journal) Name() string { return "Journal" }
-
-// NVMStorage exposes the NVM device's backing store for backend-level
-// operations on mmap-backed images.
-func (j *Journal) NVMStorage() *mem.Storage { return j.nvm.Storage() }
 
 // LoadHome pre-loads initial data, bypassing timing.
 func (j *Journal) LoadHome(addr uint64, data []byte) { j.nvm.Poke(addr, data) }
@@ -273,129 +270,50 @@ func (j *Journal) Crash(at mem.Cycle) {
 	j.seq = 0
 }
 
-// SetWriteFault implements ctl.FaultInjectable (NVM writes).
-func (j *Journal) SetWriteFault(f mem.WriteFault) { j.nvm.SetWriteFault(f) }
-
-// SetCrashFault implements ctl.FaultInjectable (torn NVM persists).
-func (j *Journal) SetCrashFault(f mem.CrashFault) { j.nvm.SetCrashFault(f) }
-
-// SetReadFault implements ctl.FaultInjectable (NVM media read errors).
-func (j *Journal) SetReadFault(f mem.ReadFault) { j.nvm.SetReadFault(f) }
-
-// SetRecoverInterrupt implements ctl.RecoverInterrupter.
-func (j *Journal) SetRecoverInterrupt(at mem.Cycle) { j.recoverCut = at }
-
-// LastRecovery implements ctl.RecoveryReporter.
-func (j *Journal) LastRecovery() ctl.RecoveryReport { return j.lastRecovery }
-
-// CommitAt implements ctl.CommitReporter: journaling is stop-the-world, so
+// CommitAt implements ctl.Controller: journaling is stop-the-world, so
 // nothing is ever draining when the harness can observe it.
 func (j *Journal) CommitAt() (bool, mem.Cycle) { return false, 0 }
 
-// MetadataKind implements ctl.MetadataMapper.
+// MetadataKind implements ctl.Controller.
 func (j *Journal) MetadataKind(addr uint64) ctl.MetadataKind { return j.meta.MetadataKind(addr) }
 
-// Recover implements ctl.Controller: redo the newest intact committed
-// journal over the home region (idempotent — a crash mid-apply is repaired
-// by replay, which is also why an interrupted recovery can simply run
-// again). Damaged newer generations are walked past when that is provably
-// safe (above the generation-safety floor); otherwise recovery refuses
-// with a typed unrecoverable verdict rather than materialize a wrong image.
+// Recover implements ctl.Controller through the shared driver
+// (commit.(*Meta).Recover): redo the newest intact committed journal over
+// the home region, one inline copy per record. Replay is idempotent — a
+// crash mid-apply is repaired by replaying again, which is also why an
+// interrupted recovery can simply run again. Damaged newer generations are
+// walked past when that is provably safe (above the generation-safety
+// floor); otherwise recovery refuses with a typed unrecoverable verdict
+// rather than materialize a wrong image.
 func (j *Journal) Recover() ([]byte, mem.Cycle, error) {
-	cut := j.recoverCut
-	j.recoverCut = 0
-	armed := cut > 0
-	j.lastRecovery = ctl.RecoveryReport{}
-	sc, t := j.meta.Scan(j.nvm, 0)
-	if armed && t >= cut {
-		j.Crash(cut)
-		return nil, cut, ctl.ErrRecoverInterrupted
-	}
-	rep, err := sc.Verdict()
-	if err != nil {
-		j.lastRecovery = rep
-		return nil, t, err
-	}
-	if !sc.Found {
-		if rep, err := j.meta.Scrub(&sc); err != nil {
-			j.lastRecovery = rep
-			return nil, t, err
-		}
-		j.lastRecovery = rep
+	cpu, t, err := j.meta.Recover(&j.Durable, j.Crash, "an undecodable journal", func(blob []byte) ([]byte, []commit.Copy, error) {
+		return decodeJournal(blob, j.meta)
+	}, j.nvmBump, &j.nvmBump, &j.seq)
+	if err == nil {
 		j.epochSt = t
-		return nil, t, nil
 	}
-	best := sc.Best
-	img, err := decodeJournal(sc.BestBlob, j.meta)
-	if err != nil {
-		j.lastRecovery, err = sc.Refuse("valid header %d names an undecodable journal: %w", best.Seq, err)
-		return nil, t, err
-	}
-	// Replaying generation best over home destroys what older generations'
-	// journals redo over: the durable floor rises to best first.
-	j.meta.Guard.Restore(sc.Floor)
-	gd := j.meta.Guard.Raise(j.nvm, t, t, best.Seq)
-	for _, r := range img.recs {
-		if armed && t >= cut {
-			j.Crash(cut)
-			return nil, cut, ctl.ErrRecoverInterrupted
-		}
-		//thynvm:destroys-generation recovery replay redoes generation best over home bytes
-		t, _ = j.nvm.WriteAt(t, gd, r.idx*mem.BlockSize, r.data, mem.SrcCheckpoint)
-	}
-	if armed && j.nvm.MaxPendingDone(t) > cut {
-		j.Crash(cut)
-		return nil, cut, ctl.ErrRecoverInterrupted
-	}
-	t = j.nvm.Flush(t)
-	// Post-recovery scrub of the software-visible image: anything media
-	// faults damaged that the replay did not rewrite is caught here, before
-	// software sees it.
-	if rep, err := j.meta.Scrub(&sc); err != nil {
-		j.lastRecovery = rep
-		return nil, t, err
-	}
-	// Future journal areas must not clobber the surviving commit.
-	if end := best.BlobAddr + best.BlobLen; end > j.nvmBump {
-		j.nvmBump = (end + mem.PageSize - 1) &^ (mem.PageSize - 1)
-	}
-	j.seq = best.Seq + 1
-	j.lastRecovery = rep
-	j.epochSt = t
-	return img.cpu, t, nil
-}
-
-// journalImage is a decoded redo-journal blob: the CPU state, then one
-// record per journaled block.
-type journalImage struct {
-	cpu  []byte
-	recs []journalRec
-}
-
-// journalRec is one redo record: a Home block index and the block's
-// committed bytes (aliasing the blob).
-type journalRec struct {
-	idx  uint64
-	data []byte
+	return cpu, t, err
 }
 
 // decodeJournal decodes a journal blob — the length-prefixed CPU state, a
-// record count, then (block index, 64 data bytes) records — refusing any
-// block index outside meta's Home region.
-func decodeJournal(blob []byte, meta *commit.Meta) (journalImage, error) {
+// record count, then (block index, 64 data bytes) records — into the CPU
+// state and one inline copy per record (its data aliasing the blob),
+// refusing any block index outside meta's Home region.
+func decodeJournal(blob []byte, meta *commit.Meta) ([]byte, []commit.Copy, error) {
 	r := commit.NewBlobReader(blob)
-	img := journalImage{cpu: append([]byte(nil), r.Bytes(r.Uint64())...)}
+	cpu := append([]byte(nil), r.Bytes(r.Uint64())...)
+	var copies []commit.Copy
 	for n := r.Uint64(); n > 0 && r.Err == nil; n-- {
-		rec := journalRec{idx: r.Uint64(), data: r.Bytes(mem.BlockSize)}
-		if r.Err == nil && !meta.InHome(rec.idx, mem.BlockSize) {
-			return journalImage{}, fmt.Errorf("baseline: journal block %d outside the Home region", rec.idx)
+		idx, data := r.Uint64(), r.Bytes(mem.BlockSize)
+		if r.Err == nil && !meta.InHome(idx, mem.BlockSize) {
+			return nil, nil, fmt.Errorf("baseline: journal block %d outside the Home region", idx)
 		}
-		img.recs = append(img.recs, rec)
+		copies = append(copies, commit.Copy{Dst: idx * mem.BlockSize, Data: data})
 	}
 	if r.Err != nil {
-		return journalImage{}, r.Err
+		return nil, nil, r.Err
 	}
-	return img, nil
+	return cpu, copies, nil
 }
 
 // PeekBlock implements ctl.Controller.

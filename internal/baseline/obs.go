@@ -15,10 +15,10 @@ var (
 
 // SetRecorder implements ctl.Observable.
 func (s *Ideal) SetRecorder(r obs.Recorder) {
-	if s.dev.Spec().Name == "DRAM" {
-		s.dev.SetRecorder(r, obs.HistDRAMRead, obs.HistDRAMWrite)
+	if s.Dev.Spec().Name == "DRAM" {
+		s.Dev.SetRecorder(r, obs.HistDRAMRead, obs.HistDRAMWrite)
 	} else {
-		s.dev.SetRecorder(r, obs.HistNVMRead, obs.HistNVMWrite)
+		s.Dev.SetRecorder(r, obs.HistNVMRead, obs.HistNVMWrite)
 	}
 	s.tele.Attach(r, s.Stats())
 	if s.tele.On() {

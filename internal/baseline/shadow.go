@@ -21,6 +21,8 @@ import (
 // which Figure 8 highlights under Random, is writing whole pages even when
 // only a few blocks are dirty.
 type Shadow struct {
+	ctl.Durable // fault hooks, recovery cut and report, over nvm
+
 	cfg  Config
 	nvm  *mem.Device
 	dram *mem.Device
@@ -40,13 +42,11 @@ type Shadow struct {
 	nvmBump uint64
 	seq     uint64
 
-	epochSt      mem.Cycle
-	lastCPU      []byte // CPU state of the most recent epoch checkpoint
-	overflow     bool
-	recoverCut   mem.Cycle // one-shot power-failure instant for the next Recover
-	lastRecovery ctl.RecoveryReport
-	stats        ctl.Stats
-	tele         ctl.EpochSampler
+	epochSt  mem.Cycle
+	lastCPU  []byte // CPU state of the most recent epoch checkpoint
+	overflow bool
+	stats    ctl.Stats
+	tele     ctl.EpochSampler
 }
 
 type shadowPage struct {
@@ -75,6 +75,7 @@ func NewShadow(cfg Config) (*Shadow, error) {
 		nvm:  mem.NewDeviceStorage(cfg.NVM, nvmStore),
 		dram: mem.NewDevice(cfg.DRAM),
 	}
+	s.Dev = s.nvm
 	s.pageScratch = alloc.NewRegion[*shadowPage](&s.epoch, cfg.DRAMPages)
 	s.blobScratch = alloc.NewRegion[byte](&s.epoch, 4096)
 	s.meta = commit.NewMeta("baseline: shadow", commit.Baseline, cfg.PhysBytes, cfg.Generations, cfg.Integrity, nvmStore)
@@ -87,10 +88,6 @@ func NewShadow(cfg Config) (*Shadow, error) {
 
 // Name identifies the system in reports.
 func (s *Shadow) Name() string { return "Shadow" }
-
-// NVMStorage exposes the NVM device's backing store for backend-level
-// operations on mmap-backed images.
-func (s *Shadow) NVMStorage() *mem.Storage { return s.nvm.Storage() }
 
 // LoadHome pre-loads initial data, bypassing timing.
 func (s *Shadow) LoadHome(addr uint64, data []byte) { s.nvm.Poke(addr, data) }
@@ -388,139 +385,49 @@ func (s *Shadow) Crash(at mem.Cycle) {
 	s.seq = 0
 }
 
-// SetWriteFault implements ctl.FaultInjectable (NVM writes).
-func (s *Shadow) SetWriteFault(f mem.WriteFault) { s.nvm.SetWriteFault(f) }
-
-// SetCrashFault implements ctl.FaultInjectable (torn NVM persists).
-func (s *Shadow) SetCrashFault(f mem.CrashFault) { s.nvm.SetCrashFault(f) }
-
-// SetReadFault implements ctl.FaultInjectable (NVM media read errors).
-func (s *Shadow) SetReadFault(f mem.ReadFault) { s.nvm.SetReadFault(f) }
-
-// SetRecoverInterrupt implements ctl.RecoverInterrupter.
-func (s *Shadow) SetRecoverInterrupt(at mem.Cycle) { s.recoverCut = at }
-
-// LastRecovery implements ctl.RecoveryReporter.
-func (s *Shadow) LastRecovery() ctl.RecoveryReport { return s.lastRecovery }
-
-// CommitAt implements ctl.CommitReporter: flushes are stop-the-world.
+// CommitAt implements ctl.Controller: flushes are stop-the-world.
 func (s *Shadow) CommitAt() (bool, mem.Cycle) { return false, 0 }
 
-// MetadataKind implements ctl.MetadataMapper.
+// MetadataKind implements ctl.Controller.
 func (s *Shadow) MetadataKind(addr uint64) ctl.MetadataKind { return s.meta.MetadataKind(addr) }
 
-// Recover implements ctl.Controller: consolidate committed shadow copies
-// into the home region. Restartable: consolidation reads committed shadow
-// slots (never overwritten until the next commit) and only writes Home.
-// Damaged newer generations are walked past when that is provably safe
-// (above the generation-safety floor); otherwise recovery refuses with a
-// typed unrecoverable verdict rather than materialize a wrong image.
+// Recover implements ctl.Controller through the shared driver
+// (commit.(*Meta).Recover): consolidate committed shadow copies into the
+// home region, one slot copy per page-table entry. Restartable:
+// consolidation reads committed shadow slots (never overwritten until the
+// next commit) and only writes Home. Damaged newer generations are walked
+// past when that is provably safe (above the generation-safety floor);
+// otherwise recovery refuses with a typed unrecoverable verdict rather than
+// materialize a wrong image.
 func (s *Shadow) Recover() ([]byte, mem.Cycle, error) {
-	cut := s.recoverCut
-	s.recoverCut = 0
-	armed := cut > 0
-	s.lastRecovery = ctl.RecoveryReport{}
-	sc, t := s.meta.Scan(s.nvm, 0)
-	if armed && t >= cut {
-		s.Crash(cut)
-		return nil, cut, ctl.ErrRecoverInterrupted
-	}
-	rep, err := sc.Verdict()
-	if err != nil {
-		s.lastRecovery = rep
-		return nil, t, err
-	}
-	if !sc.Found {
-		if rep, err := s.meta.Scrub(&sc); err != nil {
-			s.lastRecovery = rep
-			return nil, t, err
-		}
-		s.lastRecovery = rep
+	cpu, t, err := s.meta.Recover(&s.Durable, s.Crash, "an undecodable page table", func(blob []byte) ([]byte, []commit.Copy, error) {
+		return decodeShadow(blob, s.meta)
+	}, s.nvmBump, &s.nvmBump, &s.seq)
+	if err == nil {
 		s.epochSt = t
-		return nil, t, nil
 	}
-	best := sc.Best
-	img, err := decodeShadow(sc.BestBlob, s.meta)
-	if err != nil {
-		s.lastRecovery, err = sc.Refuse("valid header %d names an undecodable page table: %w", best.Seq, err)
-		return nil, t, err
-	}
-	// Consolidation overwrites Home bytes older generations still rely on:
-	// the durable floor rises to best first, the copies ordered after. The
-	// consolidation reads also integrity-check the shadow slots — a media
-	// failure under them aborts the recovery instead of materializing a
-	// poisoned image.
-	s.meta.Guard.Restore(sc.Floor)
-	intBase := s.meta.ReadFailures()
-	gd := s.meta.Guard.Raise(s.nvm, t, t, best.Seq)
-	var pageBuf [mem.PageSize]byte
-	maxEnd := s.nvmBump
-	for _, r := range img.pages {
-		if armed && t >= cut {
-			s.Crash(cut)
-			return nil, cut, ctl.ErrRecoverInterrupted
-		}
-		rd := s.nvm.Read(t, r.slot, pageBuf[:])
-		if gd > rd {
-			rd = gd
-		}
-		//thynvm:destroys-generation recovery consolidation overwrites Home with generation best's pages
-		t, _ = s.nvm.WriteAt(rd, gd, r.phys*mem.PageSize, pageBuf[:], mem.SrcCheckpoint)
-		if end := r.slot + mem.PageSize; end > maxEnd {
-			maxEnd = end
-		}
-	}
-	if armed && s.nvm.MaxPendingDone(t) > cut {
-		s.Crash(cut)
-		return nil, cut, ctl.ErrRecoverInterrupted
-	}
-	t = s.nvm.Flush(t)
-	if s.meta.ReadFailures() != intBase {
-		s.lastRecovery, err = sc.Refuse("media errors while reading generation %d checkpoint data", best.Seq)
-		return nil, t, err
-	}
-	if rep, err := s.meta.Scrub(&sc); err != nil {
-		s.lastRecovery = rep
-		return nil, t, err
-	}
-	if end := best.BlobAddr + best.BlobLen; end > maxEnd {
-		maxEnd = end
-	}
-	s.nvmBump = (maxEnd + mem.PageSize - 1) &^ (mem.PageSize - 1)
-	s.seq = best.Seq + 1
-	s.lastRecovery = rep
-	s.epochSt = t
-	return img.cpu, t, nil
+	return cpu, t, err
 }
-
-// shadowImage is a decoded page-table blob: the CPU state, then one
-// record per page whose committed copy lives in a shadow slot.
-type shadowImage struct {
-	cpu   []byte
-	pages []shadowRec
-}
-
-// shadowRec maps a Home page index to the shadow slot holding its
-// committed copy.
-type shadowRec struct{ phys, slot uint64 }
 
 // decodeShadow decodes a page-table blob — the length-prefixed CPU state, a
-// record count, then (page index, slot address) records — refusing any
-// page outside meta's Home region or slot outside its checkpoint area.
-func decodeShadow(blob []byte, meta *commit.Meta) (shadowImage, error) {
+// record count, then (page index, slot address) records — into the CPU
+// state and one page copy per record, refusing any page outside meta's Home
+// region or slot outside its checkpoint area.
+func decodeShadow(blob []byte, meta *commit.Meta) ([]byte, []commit.Copy, error) {
 	r := commit.NewBlobReader(blob)
-	img := shadowImage{cpu: append([]byte(nil), r.Bytes(r.Uint64())...)}
+	cpu := append([]byte(nil), r.Bytes(r.Uint64())...)
+	var copies []commit.Copy
 	for n := r.Uint64(); n > 0 && r.Err == nil; n-- {
-		rec := shadowRec{phys: r.Uint64(), slot: r.Uint64()}
-		if r.Err == nil && (!meta.InHome(rec.phys, mem.PageSize) || !meta.SlotOK(rec.slot, mem.PageSize)) {
-			return shadowImage{}, fmt.Errorf("baseline: shadow page %d -> %#x outside the device layout", rec.phys, rec.slot)
+		phys, slot := r.Uint64(), r.Uint64()
+		if r.Err == nil && (!meta.InHome(phys, mem.PageSize) || !meta.SlotOK(slot, mem.PageSize)) {
+			return nil, nil, fmt.Errorf("baseline: shadow page %d -> %#x outside the device layout", phys, slot)
 		}
-		img.pages = append(img.pages, rec)
+		copies = append(copies, commit.Copy{Dst: phys * mem.PageSize, Src: slot, Size: mem.PageSize})
 	}
 	if r.Err != nil {
-		return shadowImage{}, r.Err
+		return nil, nil, r.Err
 	}
-	return img, nil
+	return cpu, copies, nil
 }
 
 // PeekBlock implements ctl.Controller.

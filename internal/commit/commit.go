@@ -261,7 +261,7 @@ func (m *Meta) Crash() {
 	m.Guard.done = 0
 }
 
-// MetadataKind implements ctl.MetadataMapper for the scheme: header slots
+// MetadataKind is ctl.Controller.MetadataKind for the scheme: header slots
 // and the guard are headers, the blob areas tables, everything else data.
 func (m *Meta) MetadataKind(addr uint64) ctl.MetadataKind {
 	for _, h := range m.headers {

@@ -393,7 +393,7 @@ func (c *Controller) finalize() {
 	if c.cfg.Mode == ModeDual {
 		c.migrate(at)
 	}
-	if c.integOn {
+	if c.cfg.Integrity {
 		c.scrubStep(at)
 	}
 	// The sealed epoch's counts are fully consumed; park the table for
@@ -421,7 +421,7 @@ const scrubChunkBudget = 4
 // hardware hides patrol scrubbing in idle memory slots; the model only
 // needs its detection side, surfaced as obs events.
 func (c *Controller) scrubStep(at mem.Cycle) {
-	scanned, fails := c.nvmStore.ScrubStep(scrubChunkBudget, c.cfg.PhysBytes)
+	scanned, fails := c.nvm.Storage().ScrubStep(scrubChunkBudget, c.cfg.PhysBytes)
 	if c.tele.On() {
 		if scanned > 0 {
 			c.tele.Rec().Event(uint64(at), obs.EvScrub, uint64(scanned), uint64(len(fails)))

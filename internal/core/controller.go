@@ -15,6 +15,8 @@ import (
 // devices, the BTT and PTT translation tables, and the dual-scheme
 // checkpointing state machine. It implements ctl.Controller.
 type Controller struct {
+	ctl.Durable // fault hooks, recovery cut and report, over nvm
+
 	cfg  Config
 	nvm  *mem.Device
 	dram *mem.Device
@@ -49,13 +51,6 @@ type Controller struct {
 	// mode or K > 2; a no-op otherwise).
 	meta *commit.Meta
 
-	// integOn mirrors cfg.Integrity; nvmStore is the NVM backing store,
-	// cached for the integrity scrub.
-	integOn  bool
-	nvmStore *mem.Storage
-
-	lastRecovery ctl.RecoveryReport
-
 	epochID     uint64
 	epochStart  mem.Cycle
 	overflowReq bool
@@ -82,10 +77,6 @@ type Controller struct {
 	precScratch  *alloc.Region[tableRec]
 	blobScratch  *alloc.Region[byte]
 
-	// recoverCut, when non-zero, is a one-shot power-failure instant on the
-	// next Recover's timeline (crash-during-recovery torture).
-	recoverCut mem.Cycle
-
 	stats ctl.Stats
 	tele  ctl.EpochSampler
 }
@@ -107,6 +98,7 @@ func New(cfg Config) (*Controller, error) {
 		dram:       mem.NewDevice(cfg.DRAM),
 		pageStores: &radix.Table[uint32]{},
 	}
+	c.Dev = c.nvm
 	c.blockScratch = alloc.NewRegion[*blockEntry](&c.epoch, cfg.BTTEntries)
 	c.pageScratch = alloc.NewRegion[*pageEntry](&c.epoch, cfg.PTTEntries)
 	c.hotScratch = alloc.NewRegion[uint64](&c.epoch, 64)
@@ -114,8 +106,6 @@ func New(cfg Config) (*Controller, error) {
 	c.precScratch = alloc.NewRegion[tableRec](&c.epoch, cfg.PTTEntries)
 	c.blobScratch = alloc.NewRegion[byte](&c.epoch, 4096)
 	c.meta = commit.NewMeta("core", commit.ThyNVM, cfg.PhysBytes, cfg.Generations, cfg.Integrity, nvmStore)
-	c.integOn = cfg.Integrity
-	c.nvmStore = nvmStore
 	if cfg.Integrity {
 		nvmStore.EnableIntegrity()
 	}
@@ -123,10 +113,6 @@ func New(cfg Config) (*Controller, error) {
 	c.nvmBump = c.nvmBumpStart
 	return c, nil
 }
-
-// NVMStorage exposes the NVM device's backing store for backend-level
-// operations (Sync, Snapshot, Close on mmap-backed images).
-func (c *Controller) NVMStorage() *mem.Storage { return c.nvm.Storage() }
 
 // MustNew is New for known-good configs (tests, examples).
 func MustNew(cfg Config) *Controller {
@@ -661,33 +647,13 @@ func (c *Controller) LiveEntries() (btt, ptt int) {
 	return c.blocks.Len(), c.pages.Len()
 }
 
-// CommitAt implements ctl.CommitReporter: whether a checkpoint is draining
-// and the cycle at which it becomes durable. Harnesses use it to reason
-// about crash windows.
+// CommitAt implements ctl.Controller: whether a checkpoint is draining and
+// the cycle at which it becomes durable.
 func (c *Controller) CommitAt() (inFlight bool, at mem.Cycle) {
 	return c.ckptInFlight, c.commitDone
 }
 
-// SetWriteFault implements ctl.FaultInjectable: the hook applies to writes
-// posted to the durable (NVM) device.
-func (c *Controller) SetWriteFault(f mem.WriteFault) { c.nvm.SetWriteFault(f) }
-
-// SetCrashFault implements ctl.FaultInjectable: the hook applies to NVM
-// writes in flight at a crash instant (torn persists).
-func (c *Controller) SetCrashFault(f mem.CrashFault) { c.nvm.SetCrashFault(f) }
-
-// SetReadFault implements ctl.FaultInjectable: the hook applies to reads
-// served by the durable (NVM) device (media-fault torture).
-func (c *Controller) SetReadFault(f mem.ReadFault) { c.nvm.SetReadFault(f) }
-
-// LastRecovery implements ctl.RecoveryReporter.
-func (c *Controller) LastRecovery() ctl.RecoveryReport { return c.lastRecovery }
-
-// SetRecoverInterrupt implements ctl.RecoverInterrupter: arm a one-shot
-// power failure at cycle at on the next Recover's timeline (0 disarms).
-func (c *Controller) SetRecoverInterrupt(at mem.Cycle) { c.recoverCut = at }
-
-// MetadataKind implements ctl.MetadataMapper: commit-header slots (and the
+// MetadataKind implements ctl.Controller: commit-header slots (and the
 // generation-safety guard slot) and the per-generation table-blob areas are
 // metadata; everything else (Home region, checkpoint slots) is data.
 func (c *Controller) MetadataKind(addr uint64) ctl.MetadataKind { return c.meta.MetadataKind(addr) }

@@ -13,8 +13,8 @@ import (
 // Metadata persistence format. Each checkpoint commit writes a table blob
 // (translation tables + CPU state) into one of K rotating areas of NVM, then
 // a commit header naming it; the header slots, the generation-safety guard,
-// the slot scan and the verdict table are the shared internal/commit
-// machinery, under ThyNVM's own record magics.
+// the slot scan, the verdict table and the recovery driver are the shared
+// internal/commit machinery, under ThyNVM's own record magics.
 
 const blobMagic = 0x5448594e564d5442 // "THYNVMTB"
 
@@ -151,137 +151,39 @@ func (c *Controller) Crash(at mem.Cycle) {
 	c.seq = 0
 }
 
-// interruptRecovery models power failing at cycle cut of the recovery
-// timeline: writes the interrupted recovery posted but did not complete by
-// cut are lost (or torn, under an armed CrashFault), volatile state is
-// reset, and the caller is told to recover again.
-func (c *Controller) interruptRecovery(cut mem.Cycle) ([]byte, mem.Cycle, error) {
-	c.Crash(cut)
-	return nil, cut, ctl.ErrRecoverInterrupted
-}
-
 // Recover implements ctl.Controller: it reloads the newest valid checkpoint
 // metadata from NVM (the paper's step 1), consolidates every checkpointed
 // block and page into the Home region so the whole physical address space
 // is software-visible again (steps 2–3), and returns the CPU state saved
 // with that checkpoint. If no checkpoint ever committed, the Home region
-// (the initial image) is the recovered state and cpuState is nil.
-//
-// When a recovery interrupt is armed (SetRecoverInterrupt), the controller
-// stops issuing work once the timeline passes the cut and returns
-// ctl.ErrRecoverInterrupted after discarding consolidation writes that had
-// not completed by then — recovery must therefore be restartable from any
-// prefix of its own writes, which it is: consolidation only copies durable
-// checkpoint slots onto Home, and the metadata naming those slots is not
-// touched until the next commit.
+// (the initial image) is the recovered state and cpuState is nil. The
+// procedure, including an interrupt armed with SetRecoverInterrupt, is the
+// shared driver's (commit.(*Meta).Recover); the table blob supplies its
+// copies, all blocks, then all pages.
 func (c *Controller) Recover() ([]byte, mem.Cycle, error) {
-	cut := c.recoverCut
-	c.recoverCut = 0
-	armed := cut > 0
-	c.lastRecovery = ctl.RecoveryReport{}
-
-	// Classify every retained generation and read the durable floor, then
-	// apply the shared decision table (internal/commit).
-	sc, t := c.meta.Scan(c.nvm, 0)
-	if armed && t >= cut {
-		return c.interruptRecovery(cut)
-	}
-	rep, err := sc.Verdict()
+	var epochID uint64
+	cpu, t, err := c.meta.Recover(&c.Durable, c.Crash, "unparsable table", func(blob []byte) ([]byte, []commit.Copy, error) {
+		img, err := parseTables(blob, c.meta)
+		if err != nil {
+			return nil, nil, err
+		}
+		copies := make([]commit.Copy, 0, len(img.blocks)+len(img.pages))
+		for _, r := range img.blocks {
+			copies = append(copies, commit.Copy{Dst: r.phys * mem.BlockSize, Src: r.slot, Size: mem.BlockSize})
+		}
+		for _, r := range img.pages {
+			copies = append(copies, commit.Copy{Dst: r.phys * mem.PageSize, Src: r.slot, Size: mem.PageSize})
+		}
+		epochID = img.epochID
+		return img.cpuState, copies, nil
+	}, c.nvmBumpStart, &c.nvmBump, &c.seq)
 	if err != nil {
-		c.lastRecovery = rep
 		return nil, t, err
 	}
-	if !sc.Found {
-		// Cold start: nothing ever committed; Home is authoritative —
-		// after the integrity scrub clears the initial image.
-		if rep, err := c.meta.Scrub(&sc); err != nil {
-			c.lastRecovery = rep
-			return nil, t, err
-		}
-		c.epochID = 0
-		c.epochStart = t
-		c.seq = 0
-		c.lastRecovery = rep
-		return nil, t, nil
-	}
-	best := sc.Best
-	img, err := parseTables(sc.BestBlob, c.meta)
-	if err != nil {
-		c.lastRecovery, err = sc.Refuse("valid header %d names unparsable table: %w", best.Seq, err)
-		return nil, t, err
-	}
-
-	// Consolidation overwrites Home with generation best's image,
-	// destroying anything older generations still relied on: raise the
-	// durable floor to best first and order the copies after the raise.
-	// The consolidation reads are also the integrity check of the
-	// checkpoint slots themselves — any media failure under them aborts
-	// the recovery instead of materializing a poisoned image.
-	c.meta.Guard.Restore(sc.Floor)
-	intBase := c.meta.ReadFailures()
-	gd := c.meta.Guard.Raise(c.nvm, t, t, best.Seq)
-
-	// Consolidate checkpointed data into Home.
-	var blockBuf [mem.BlockSize]byte
-	maxBump := c.nvmBumpStart
-	for _, r := range img.blocks {
-		if armed && t >= cut {
-			return c.interruptRecovery(cut)
-		}
-		rd := c.nvm.Read(t, r.slot, blockBuf[:])
-		if gd > rd {
-			rd = gd
-		}
-		//thynvm:destroys-generation recovery consolidation overwrites Home with generation best's blocks
-		t, _ = c.nvm.WriteAt(rd, gd, r.phys*mem.BlockSize, blockBuf[:], mem.SrcCheckpoint)
-		if end := r.slot + mem.BlockSize; end > maxBump {
-			maxBump = end
-		}
-	}
-	var pageBuf [mem.PageSize]byte
-	for _, r := range img.pages {
-		if armed && t >= cut {
-			return c.interruptRecovery(cut)
-		}
-		rd := c.nvm.Read(t, r.slot, pageBuf[:])
-		if gd > rd {
-			rd = gd
-		}
-		//thynvm:destroys-generation recovery consolidation overwrites Home with generation best's pages
-		t, _ = c.nvm.WriteAt(rd, gd, r.phys*mem.PageSize, pageBuf[:], mem.SrcCheckpoint)
-		if end := r.slot + mem.PageSize; end > maxBump {
-			maxBump = end
-		}
-	}
-	if armed && c.nvm.MaxPendingDone(t) > cut {
-		// Power fails before the last consolidation write drains.
-		return c.interruptRecovery(cut)
-	}
-	t = c.nvm.Flush(t)
-	if c.meta.ReadFailures() != intBase {
-		c.lastRecovery, err = sc.Refuse("media errors while reading generation %d checkpoint data", best.Seq)
-		return nil, t, err
-	}
-	// Post-recovery scrub of the software-visible image: anything bit-rot
-	// or dead cells damaged that consolidation did not rewrite is caught
-	// here, before software sees it.
-	if rep, err := c.meta.Scrub(&sc); err != nil {
-		c.lastRecovery = rep
-		return nil, t, err
-	}
-	// Future allocations must not clobber the surviving metadata blob (it
-	// stays authoritative until the next commit) nor, conservatively, the
-	// slots just consolidated.
-	if end := best.BlobAddr + best.BlobLen; end > maxBump {
-		maxBump = end
-	}
-	c.nvmBump = alignUp(maxBump, mem.PageSize)
-	c.seq = best.Seq + 1
-	c.epochID = img.epochID
+	c.epochID = epochID
 	c.epochStart = t
-	c.lastRecovery = rep
-	if rep.Class == ctl.RecoveredFallback && c.tele.On() {
-		c.tele.Rec().Event(uint64(t), obs.EvRecoveryFallback, best.Seq, uint64(rep.FallbackDepth))
+	if rep := c.Last; rep.Class == ctl.RecoveredFallback && c.tele.On() {
+		c.tele.Rec().Event(uint64(t), obs.EvRecoveryFallback, rep.Generation, uint64(rep.FallbackDepth))
 	}
-	return img.cpuState, t, nil
+	return cpu, t, nil
 }

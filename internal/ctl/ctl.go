@@ -66,41 +66,73 @@ type Controller interface {
 	Stats() Stats
 	// ResetStats zeroes all statistics, including device counters.
 	ResetStats()
-}
 
-// ErrRecoverInterrupted is returned by Recover when an armed recovery
-// interrupt (SetRecoverInterrupt) fired before the recovered image became
-// fully durable: power failed *during* recovery. The controller is left in
-// its post-crash state — volatile state reset, NVM holding whatever the
-// interrupted recovery made durable — and Recover may simply be called
-// again, exactly like a real machine rebooting twice.
-var ErrRecoverInterrupted = errors.New("ctl: power failed during recovery")
-
-// RecoverInterrupter is implemented by controllers whose Recover can be
-// interrupted mid-flight (crash-during-recovery torture). The cut is a
-// cycle on the recovery timeline (Recover starts at cycle 0); it arms the
-// next Recover call only and is disarmed once consumed. Passing 0 disarms.
-// If the cut lies at or beyond the recovery's natural completion, Recover
-// finishes normally.
-type RecoverInterrupter interface {
+	// SetRecoverInterrupt arms a one-shot power failure at cycle at of the
+	// next Recover's timeline (Recover starts at cycle 0) for
+	// crash-during-recovery torture; 0 disarms. The next Recover consumes
+	// the cut. A cut at or beyond that recovery's natural completion lets it
+	// finish normally.
 	SetRecoverInterrupt(at mem.Cycle)
-}
+	// LastRecovery classifies the last Recover call; it is valid once that
+	// call returns, also when it failed with ErrUnrecoverable.
+	LastRecovery() RecoveryReport
 
-// CommitReporter is implemented by controllers with asynchronous commits:
-// it reports whether a checkpoint is draining and the cycle at which it
-// becomes durable. Harnesses use it to reason about crash windows.
-type CommitReporter interface {
+	// CommitAt reports whether a checkpoint is draining and the cycle at
+	// which it becomes durable. Harnesses use it to reason about crash
+	// windows; stop-the-world schemes never drain.
 	CommitAt() (inFlight bool, at mem.Cycle)
-}
 
-// FaultInjectable is implemented by controllers that can forward fault
-// hooks to their durable (NVM) device for crash-torture campaigns. See
-// mem.WriteFault, mem.CrashFault and mem.ReadFault for the fault models.
-type FaultInjectable interface {
+	// SetWriteFault, SetCrashFault and SetReadFault install fault hooks on
+	// the durable (NVM) device for crash-torture campaigns; see
+	// mem.WriteFault, mem.CrashFault and mem.ReadFault for the fault models.
 	SetWriteFault(f mem.WriteFault)
 	SetCrashFault(f mem.CrashFault)
 	SetReadFault(f mem.ReadFault)
+	// MetadataKind classifies a durable-device address, so a fault injector
+	// can target the scheme's persist points without re-deriving its
+	// address-space layout.
+	MetadataKind(addr uint64) MetadataKind
+	// NVMStorage is the durable device's backing store, for media-level
+	// operations (fault injection, integrity audits) and backend-level ones
+	// (Sync, Snapshot, Close on mmap-backed images).
+	NVMStorage() *mem.Storage
 }
+
+// Durable implements the part of Controller every built-in system shares:
+// the fault hooks forwarded to its durable device, the armed recovery cut
+// and the last recovery's report. A controller embeds it; its Recover
+// consumes Cut and records Last.
+type Durable struct {
+	Dev  *mem.Device    // the durable device
+	Cut  mem.Cycle      // armed recovery interrupt; 0 when disarmed
+	Last RecoveryReport // the last Recover's report
+}
+
+// SetWriteFault implements Controller.
+func (d *Durable) SetWriteFault(f mem.WriteFault) { d.Dev.SetWriteFault(f) }
+
+// SetCrashFault implements Controller.
+func (d *Durable) SetCrashFault(f mem.CrashFault) { d.Dev.SetCrashFault(f) }
+
+// SetReadFault implements Controller.
+func (d *Durable) SetReadFault(f mem.ReadFault) { d.Dev.SetReadFault(f) }
+
+// SetRecoverInterrupt implements Controller.
+func (d *Durable) SetRecoverInterrupt(at mem.Cycle) { d.Cut = at }
+
+// LastRecovery implements Controller.
+func (d *Durable) LastRecovery() RecoveryReport { return d.Last }
+
+// NVMStorage implements Controller.
+func (d *Durable) NVMStorage() *mem.Storage { return d.Dev.Storage() }
+
+// ErrRecoverInterrupted is returned by Recover when the cut armed with
+// SetRecoverInterrupt fired before the recovered image became fully
+// durable: power failed *during* recovery. The controller is left in its
+// post-crash state — volatile state reset, NVM holding whatever the
+// interrupted recovery made durable — and Recover may simply be called
+// again, exactly like a real machine rebooting twice.
+var ErrRecoverInterrupted = errors.New("ctl: power failed during recovery")
 
 // ErrUnrecoverable is wrapped by Recover when durable state is damaged
 // beyond what the scheme can repair: no retained checkpoint generation is
@@ -158,13 +190,6 @@ type RecoveryReport struct {
 	ColdStart bool
 }
 
-// RecoveryReporter is implemented by controllers that classify their
-// recoveries. LastRecovery is valid after a Recover call returns (also
-// after one that failed with ErrUnrecoverable).
-type RecoveryReporter interface {
-	LastRecovery() RecoveryReport
-}
-
 // MetadataKind classifies a durable-device address for fault injection.
 type MetadataKind int
 
@@ -177,13 +202,6 @@ const (
 	// table).
 	MetaTable
 )
-
-// MetadataMapper is implemented by controllers that can classify NVM
-// addresses, so a fault injector can target the BTT/PTT persist points
-// without re-deriving the controller's address-space layout.
-type MetadataMapper interface {
-	MetadataKind(addr uint64) MetadataKind
-}
 
 // Stats aggregates controller- and device-level counters used to reproduce
 // the paper's figures. The json tags are part of the bench/metrics wire

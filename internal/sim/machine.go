@@ -279,9 +279,10 @@ func (m *Machine) CrashNow() mem.Cycle {
 // len(cuts) Recover attempts are each interrupted by a power failure at the
 // given cycle of their own recovery timeline (attempt-relative; every
 // attempt restarts at cycle 0). Recover retries automatically after each
-// interruption, so a single Recover call consumes the whole list. A cut at
-// or beyond an attempt's natural completion lets it finish normally.
-// Controllers that do not support interruption ignore the cuts.
+// interruption, and a single Recover call consumes the whole list: cuts
+// left over when an attempt completes are dropped. A cut at or beyond an
+// attempt's natural completion lets it finish normally; an ideal system's
+// recovery takes no time, so it never restarts.
 func (m *Machine) SetRecoverCrashPoints(cuts []mem.Cycle) {
 	m.recoverCuts = append(m.recoverCuts[:0], cuts...)
 }
@@ -301,12 +302,8 @@ func (m *Machine) RecoveryRestarts() uint64 { return m.recoverRestarts }
 func (m *Machine) Recover() (hadCheckpoint bool, err error) {
 	for {
 		if len(m.recoverCuts) > 0 {
-			if ri, ok := m.ctrl.(ctl.RecoverInterrupter); ok {
-				ri.SetRecoverInterrupt(m.recoverCuts[0])
-				m.recoverCuts = m.recoverCuts[1:]
-			} else {
-				m.recoverCuts = nil
-			}
+			m.ctrl.SetRecoverInterrupt(m.recoverCuts[0])
+			m.recoverCuts = m.recoverCuts[1:]
 		}
 		had, rerr := m.recoverOnce()
 		if rerr != nil && errors.Is(rerr, ctl.ErrRecoverInterrupted) {
@@ -314,6 +311,7 @@ func (m *Machine) Recover() (hadCheckpoint bool, err error) {
 			m.hier.InvalidateAll()
 			continue
 		}
+		m.recoverCuts = m.recoverCuts[:0]
 		return had, rerr
 	}
 }
@@ -345,14 +343,8 @@ func (m *Machine) recoverOnce() (hadCheckpoint bool, err error) {
 }
 
 // LastRecovery returns the controller's classification of the most recent
-// Recover call (clean, fallback to an older generation, or unrecoverable),
-// or the zero report for controllers that do not classify recoveries.
-func (m *Machine) LastRecovery() ctl.RecoveryReport {
-	if r, ok := m.ctrl.(ctl.RecoveryReporter); ok {
-		return r.LastRecovery()
-	}
-	return ctl.RecoveryReport{}
-}
+// Recover call: clean, fallback to an older generation, or unrecoverable.
+func (m *Machine) LastRecovery() ctl.RecoveryReport { return m.ctrl.LastRecovery() }
 
 // CheckpointStall returns the execution time lost to checkpoint calls
 // (cache flush + controller begin) observed by this harness.

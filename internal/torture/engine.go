@@ -46,9 +46,7 @@ type engine struct {
 	s    *Schedule
 	sys  *thynvm.System
 	o    *verify.Oracle
-	mm   ctl.MetadataMapper
-	fi   ctl.FaultInjectable
-	cr   ctl.CommitReporter
+	ctrl ctl.Controller
 	out  *Outcome
 	isID bool // ideal system: engine-side crash-instant verification
 
@@ -105,28 +103,20 @@ func Run(s *Schedule) (o *Outcome, err error) {
 			o, err = nil, cerr
 		}
 	}()
-	e := &engine{s: s, sys: sys, o: verify.New(), out: &Outcome{}, isID: isIdeal}
-	ctrl := sys.Machine.Controller()
-	e.mm, _ = ctrl.(ctl.MetadataMapper)
-	e.fi, _ = ctrl.(ctl.FaultInjectable)
-	e.cr, _ = ctrl.(ctl.CommitReporter)
+	e := &engine{s: s, sys: sys, o: verify.New(), ctrl: sys.Machine.Controller(), out: &Outcome{}, isID: isIdeal}
 
 	sys.Machine.PreCheckpoint = func(m *thynvm.Machine) {
 		e.o.Capture(m.Controller(), fmt.Sprintf("ckpt-%d", e.out.Checkpoints), m.Now())
 	}
 	sys.Machine.PostCheckpoint = func(m *thynvm.Machine) {
-		idx := len(e.o.Snapshots()) - 1
-		if e.cr != nil {
-			if inFlight, at := e.cr.CommitAt(); inFlight {
-				// Background commit: durable once the header persist
-				// completes — unless a crash preempts it, which the
-				// oracle sees as CommittedAt > crashAt.
-				e.o.SetCommitted(idx, at)
-				e.out.Checkpoints++
-				return
-			}
+		at := m.Now()
+		if inFlight, done := e.ctrl.CommitAt(); inFlight {
+			// Background commit: durable once the header persist
+			// completes — unless a crash preempts it, which the oracle
+			// sees as CommittedAt > crashAt.
+			at = done
 		}
-		e.o.SetCommitted(idx, m.Now())
+		e.o.SetCommitted(len(e.o.Snapshots())-1, at)
 		e.out.Checkpoints++
 	}
 	e.armInject()
@@ -145,22 +135,18 @@ func Run(s *Schedule) (o *Outcome, err error) {
 }
 
 // armInject installs the silent-corruption fault (the deliberately injected
-// bug) when the schedule asks for one and the controller supports it.
+// bug) when the schedule asks for one.
 func (e *engine) armInject() {
 	inj := e.s.Inject
-	if inj == nil || e.fi == nil {
+	if inj == nil {
 		return
 	}
 	count := 0
-	e.fi.SetWriteFault(func(addr uint64, cp []byte, src mem.WriteSource) []byte {
+	e.ctrl.SetWriteFault(func(addr uint64, cp []byte, src mem.WriteSource) []byte {
 		if src != mem.SrcCheckpoint {
 			return nil
 		}
-		kind := ctl.MetaNone
-		if e.mm != nil {
-			kind = e.mm.MetadataKind(addr)
-		}
-		switch inj.Target {
+		switch kind := e.ctrl.MetadataKind(addr); inj.Target {
 		case TargetHeader:
 			if kind != ctl.MetaHeader {
 				return nil
@@ -251,13 +237,13 @@ func (e *engine) crash(op *Op) error {
 	}
 
 	e.tearFired = false
-	if op.Tear != nil && e.fi != nil && e.mm != nil {
+	if op.Tear != nil {
 		tear := *op.Tear
-		e.fi.SetCrashFault(func(addr uint64, data []byte) []byte {
+		e.ctrl.SetCrashFault(func(addr uint64, data []byte) []byte {
 			if e.tearFired {
 				return nil // in-flight and not the target: lost, as on a real crash
 			}
-			kind := e.mm.MetadataKind(addr)
+			kind := e.ctrl.MetadataKind(addr)
 			if (tear.Target == TargetHeader && kind != ctl.MetaHeader) ||
 				(tear.Target == TargetTable && kind != ctl.MetaTable) ||
 				(tear.Target == TargetData && kind != ctl.MetaNone) {
@@ -289,9 +275,7 @@ func (e *engine) crash(op *Op) error {
 	restartsBefore := m.RecoveryRestarts()
 	hadCkpt, err := m.Recover()
 	e.out.Restarts += m.RecoveryRestarts() - restartsBefore
-	if e.fi != nil {
-		e.fi.SetCrashFault(nil)
-	}
+	e.ctrl.SetCrashFault(nil)
 	if err != nil {
 		if errors.Is(err, ctl.ErrUnrecoverable) && (e.mediaEver || e.tearEver) {
 			// A clean refusal under armed faults: the scheme detected
@@ -360,10 +344,7 @@ func (e *engine) injectMedia() {
 	if mf == nil {
 		return
 	}
-	st := e.sys.NVMStorage()
-	if st == nil {
-		return
-	}
+	st := e.ctrl.NVMStorage()
 	seed := mix64(mf.Seed + e.out.Crashes)
 	var hit []uint64
 	if mf.Kind == "dead" {

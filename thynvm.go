@@ -331,66 +331,31 @@ func MustNewSystem(kind SystemKind, opts Options) *System {
 // Options returns the options the system was built with.
 func (s *System) Options() Options { return s.opts }
 
-// nvmStorage reaches the persistent device's backing store. Every built-in
-// controller exposes it; a nil return means a custom controller without one.
-func (s *System) nvmStorage() *mem.Storage {
-	if owner, ok := s.ctrl.(interface{ NVMStorage() *mem.Storage }); ok {
-		return owner.NVMStorage()
-	}
-	return nil
-}
-
 // NVMStorage exposes the persistent device's backing store for media-level
 // operations — fault injection (InjectBitRot, InjectDeadChunks), integrity
-// verification (VerifyRange) — or nil for a custom controller without one.
-func (s *System) NVMStorage() *mem.Storage { return s.nvmStorage() }
+// verification (VerifyRange).
+func (s *System) NVMStorage() *mem.Storage { return s.ctrl.NVMStorage() }
 
 // SyncStorage flushes an mmap-backed NVM image to its file (a no-op on the
 // heap backend).
-func (s *System) SyncStorage() error {
-	if st := s.nvmStorage(); st != nil {
-		return st.Sync()
-	}
-	return nil
-}
+func (s *System) SyncStorage() error { return s.NVMStorage().Sync() }
 
 // SnapshotStorage writes a standalone copy of an mmap-backed NVM image to
 // path; it errors on the heap backend.
-func (s *System) SnapshotStorage(path string) error {
-	st := s.nvmStorage()
-	if st == nil {
-		return fmt.Errorf("thynvm: controller exposes no storage")
-	}
-	return st.Snapshot(path)
-}
+func (s *System) SnapshotStorage(path string) error { return s.NVMStorage().Snapshot(path) }
 
 // Close releases the system's storage: on the mmap backend it unmaps the
 // NVM image (removing auto-created temporary files); on the heap backend it
 // is a no-op. The system must not be used afterwards.
-func (s *System) Close() error {
-	if st := s.nvmStorage(); st != nil {
-		return st.Close()
-	}
-	return nil
-}
+func (s *System) Close() error { return s.NVMStorage().Close() }
 
 // NVMImagePath reports the mmap image file backing the NVM device, or ""
 // for the heap backend.
-func (s *System) NVMImagePath() string {
-	if st := s.nvmStorage(); st != nil {
-		return st.ImagePath()
-	}
-	return ""
-}
+func (s *System) NVMImagePath() string { return s.NVMStorage().ImagePath() }
 
 // NVMFootprintBytes reports how many bytes of NVM backing store have been
 // touched (resident footprint for the mmap backend).
-func (s *System) NVMFootprintBytes() uint64 {
-	if st := s.nvmStorage(); st != nil {
-		return st.FootprintBytes()
-	}
-	return 0
-}
+func (s *System) NVMFootprintBytes() uint64 { return s.NVMStorage().FootprintBytes() }
 
 // Crash models a power failure at the current cycle.
 func (s *System) Crash() Cycle { return s.CrashNow() }

@@ -1,7 +1,8 @@
 GO      ?= go
 PKGS    := ./...
-# Packages with hot-path micro-benchmarks.
-BENCHPKGS := ./internal/radix ./internal/mem ./internal/cache ./internal/core ./internal/alloc
+# Packages with benchmarks: the hot-path micro-benchmarks and the torture
+# schedule mix.
+BENCHPKGS := ./internal/radix ./internal/mem ./internal/cache ./internal/core ./internal/alloc ./internal/torture
 BENCHTIME ?= 2s
 BENCHDIR  := bench
 

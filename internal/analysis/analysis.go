@@ -161,17 +161,17 @@ func (p *Pass) fileDirectives(file *ast.File) map[int][]directive {
 }
 
 // allowedAt reports whether table carries an //thynvm:<name> directive with
-// a reason on pos's line or the line directly above. Directives without a
-// reason do not suppress anything: the reason is the audit trail the escape
-// hatch exists to capture.
-func allowedAt(table map[int][]directive, fset *token.FileSet, pos token.Pos, name string) bool {
+// a reason on pos's line or the line directly above, and returns the line
+// that carries it. Directives without a reason do not suppress anything: the
+// reason is the audit trail the escape hatch exists to capture.
+func allowedAt(table map[int][]directive, fset *token.FileSet, pos token.Pos, name string) (int, bool) {
 	line := fset.Position(pos).Line
-	for _, d := range append(table[line], table[line-1]...) {
-		if d.name == name && d.reason != "" {
-			return true
+	for _, l := range [2]int{line, line - 1} {
+		if directiveOnLine(table[l], name) {
+			return l, true
 		}
 	}
-	return false
+	return 0, false
 }
 
 // Allowed reports whether a finding at pos inside file is suppressed by an
@@ -179,23 +179,11 @@ func allowedAt(table map[int][]directive, fset *token.FileSet, pos token.Pos, na
 // and records the suppression with the pass's directive audit if one is
 // attached.
 func (p *Pass) Allowed(file *ast.File, pos token.Pos, name string) bool {
-	table := p.fileDirectives(file)
-	line := p.Fset.Position(pos).Line
-	for _, d := range append(table[line], table[line-1]...) {
-		if d.name == name && d.reason != "" {
-			if p.Audit != nil {
-				// The suppressing directive is on the finding's line or the
-				// one above; record whichever line actually carries it.
-				dLine := line
-				if !directiveOnLine(table[line], name) {
-					dLine = line - 1
-				}
-				p.Audit.hit(p.Fset.Position(pos).Filename, dLine, name)
-			}
-			return true
-		}
+	line, ok := allowedAt(p.fileDirectives(file), p.Fset, pos, name)
+	if ok {
+		p.Audit.hit(p.Fset.Position(pos).Filename, line, name)
 	}
-	return false
+	return ok
 }
 
 func directiveOnLine(ds []directive, name string) bool {

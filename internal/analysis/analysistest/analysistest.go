@@ -45,26 +45,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, importPaths ...str
 
 func runOne(t *testing.T, testdata string, a *analysis.Analyzer, importPath string) {
 	t.Helper()
-	dir := filepath.Join(testdata, "src", filepath.FromSlash(importPath))
-	fset := token.NewFileSet()
-	files, err := parseDir(fset, dir)
-	if err != nil {
-		t.Fatalf("%s: %v", importPath, err)
-	}
-
-	info := load.NewInfo()
-	var typeErrs []error
-	conf := types.Config{
-		Importer: importer.ForCompiler(fset, "source", nil),
-		Error:    func(err error) { typeErrs = append(typeErrs, err) },
-	}
-	pkg, err := conf.Check(importPath, fset, files, info)
-	if len(typeErrs) > 0 {
-		t.Fatalf("%s: fixture does not type-check: %v", importPath, typeErrs)
-	} else if err != nil {
-		t.Fatalf("%s: fixture does not type-check: %v", importPath, err)
-	}
-
+	fset, files, pkg, info := check(t, testdata, importPath)
 	var diags []analysis.Diagnostic
 	pass := &analysis.Pass{
 		Analyzer:  a,
@@ -92,6 +73,59 @@ func runOne(t *testing.T, testdata string, a *analysis.Analyzer, importPath stri
 			t.Errorf("%s: no diagnostic at %s matching %q", importPath, key, re)
 		}
 	}
+}
+
+// Audit runs analyzers over one fixture package the way `thynvm-lint
+// -report` runs the suite, with one summary table and one directive audit,
+// fails the test on any diagnostic, and returns the directive report.
+func Audit(t *testing.T, testdata, importPath string, analyzers ...*analysis.Analyzer) *analysis.Report {
+	t.Helper()
+	fset, files, pkg, info := check(t, testdata, importPath)
+	unit := analysis.SummaryUnit{Fset: fset, Files: files, Pkg: pkg, Info: info}
+	sums := analysis.ComputeSummaries([]analysis.SummaryUnit{unit})
+	audit := analysis.NewDirectiveAudit()
+	for _, a := range analyzers {
+		pass := &analysis.Pass{
+			Analyzer:  a,
+			Fset:      fset,
+			Files:     files,
+			Pkg:       pkg,
+			TypesInfo: info,
+			Summaries: sums,
+			Audit:     audit,
+			Report: func(d analysis.Diagnostic) {
+				t.Errorf("%s: %s: %s (%s)", importPath, fset.Position(d.Pos), d.Message, a.Name)
+			},
+		}
+		if err := a.Run(pass); err != nil {
+			t.Fatalf("%s: analyzer %s: %v", importPath, a.Name, err)
+		}
+	}
+	return analysis.BuildReport([]analysis.SummaryUnit{unit}, audit)
+}
+
+// check parses and type-checks one fixture package.
+func check(t *testing.T, testdata, importPath string) (*token.FileSet, []*ast.File, *types.Package, *types.Info) {
+	t.Helper()
+	dir := filepath.Join(testdata, "src", filepath.FromSlash(importPath))
+	fset := token.NewFileSet()
+	files, err := parseDir(fset, dir)
+	if err != nil {
+		t.Fatalf("%s: %v", importPath, err)
+	}
+	info := load.NewInfo()
+	var typeErrs []error
+	conf := types.Config{
+		Importer: importer.ForCompiler(fset, "source", nil),
+		Error:    func(err error) { typeErrs = append(typeErrs, err) },
+	}
+	pkg, err := conf.Check(importPath, fset, files, info)
+	if len(typeErrs) > 0 {
+		t.Fatalf("%s: fixture does not type-check: %v", importPath, typeErrs)
+	} else if err != nil {
+		t.Fatalf("%s: fixture does not type-check: %v", importPath, err)
+	}
+	return fset, files, pkg, info
 }
 
 func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {

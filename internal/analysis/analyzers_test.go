@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"strings"
 	"testing"
 
 	"thynvm/internal/analysis"
@@ -53,4 +54,19 @@ func TestGoSafety(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.GoSafety,
 		"thynvm/internal/core/gofixture",
 		"thynvm/cmd/gofixture")
+}
+
+// TestAuditCreditsCalleeAllowAlloc: an //thynvm:allow-alloc that keeps a
+// hotpath function's non-hotpath callee allocation-free is load-bearing
+// (deleting it brings hotpathprop's finding back), so the directive audit
+// must not call it stale; one that no hotpath function reaches must be.
+func TestAuditCreditsCalleeAllowAlloc(t *testing.T) {
+	report := analysistest.Audit(t, "testdata", "thynvm/internal/core/auditfixture",
+		analysis.HotAlloc, analysis.HotPathProp)
+	if len(report.Problems) != 1 {
+		t.Fatalf("report problems = %+v, want exactly the unreached directive stale", report.Problems)
+	}
+	if p := report.Problems[0]; p.Kind != "stale" || !strings.Contains(p.Message, "nothing hot reaches this") {
+		t.Errorf("report problem = %+v, want the unreached directive stale", p)
+	}
 }

@@ -15,8 +15,10 @@ import (
 // each annotated function is checked in its own right, so flagging the call
 // would duplicate the finding at the callee. Allocations sanctioned by
 // //thynvm:allow-alloc inside a callee never enter its summary, so
-// sanctioned amortized slow paths do not propagate; a call site itself may
-// also be annotated //thynvm:allow-alloc to accept a callee's allocation.
+// sanctioned amortized slow paths do not propagate; each such directive a
+// hotpath call reaches is credited to the directive audit, which would
+// otherwise call it stale. A call site itself may also be annotated
+// //thynvm:allow-alloc to accept a callee's allocation.
 var HotPathProp = &Analyzer{
 	Name: "hotpathprop",
 	Doc: "flag calls from //thynvm:hotpath functions to transitively-allocating " +
@@ -50,7 +52,11 @@ func checkHotPathCalls(pass *Pass, sums *Summaries, file *ast.File, fn *ast.Func
 		}
 		key := FuncKey(callee)
 		cs := sums.Lookup(key)
-		if cs == nil || !cs.Allocates || cs.HotPath {
+		if cs == nil || cs.HotPath {
+			return true
+		}
+		if !cs.Allocates {
+			sums.creditAllowedAllocs(key, pass.Audit)
 			return true
 		}
 		if pass.Allowed(file, call.Pos(), "allow-alloc") {

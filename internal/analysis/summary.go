@@ -50,6 +50,10 @@ type FuncSummary struct {
 	AllocPos  string
 	AllocVia  string
 
+	// allowedAllocs are the //thynvm:allow-alloc directives that sanctioned
+	// an allocation in the body, one per directive.
+	allowedAllocs []auditKey
+
 	// RaisesGuard: the function is a guard-raise primitive (its doc comment
 	// carries the marker directive) or may call one. TouchesDurable: it may
 	// call a durability-critical primitive (Sync/Close/Snapshot/... on an
@@ -176,7 +180,14 @@ func summarizeFunc(u SummaryUnit, dirs map[int][]directive, fn *ast.FuncDecl) *F
 	// way hotalloc does (a sanctioned amortized allocation is not an
 	// allocation for propagation purposes either).
 	allocInspect(u.Info, fn.Body, receiverRooted(fn), func(pos token.Pos, what string) {
-		if s.Allocates || allowedAt(dirs, u.Fset, pos, "allow-alloc") {
+		if line, ok := allowedAt(dirs, u.Fset, pos, "allow-alloc"); ok {
+			k := auditKey{u.Fset.Position(pos).Filename, line, "allow-alloc"}
+			if n := len(s.allowedAllocs); n == 0 || s.allowedAllocs[n-1] != k {
+				s.allowedAllocs = append(s.allowedAllocs, k)
+			}
+			return
+		}
+		if s.Allocates {
 			return
 		}
 		s.Allocates = true
@@ -200,7 +211,7 @@ func summarizeFunc(u SummaryUnit, dirs map[int][]directive, fn *ast.FuncDecl) *F
 		}
 		if _, ok := durablePrimitive(u.Info, u.Pkg.Path(), call); ok {
 			s.TouchesDurable = true
-			if s.HasErrorResult && !allowedAt(dirs, u.Fset, call.Pos(), "allow-errdrop") {
+			if _, allowed := allowedAt(dirs, u.Fset, call.Pos(), "allow-errdrop"); s.HasErrorResult && !allowed {
 				s.ReturnsDurableErr = true
 			}
 		}
@@ -376,6 +387,34 @@ func propagate(sums map[string]*FuncSummary) {
 						changed = true
 					}
 				}
+			}
+		}
+	}
+}
+
+// creditAllowedAllocs records an audit hit for every //thynvm:allow-alloc
+// directive that sanctioned an allocation in key's body or in a function
+// key transitively calls. hotpathprop calls it for each hotpath call of a
+// callee whose summary is allocation-free: those directives are what keep
+// it so, and the call's finding is the one they suppress.
+func (s *Summaries) creditAllowedAllocs(key string, audit *DirectiveAudit) {
+	if audit == nil {
+		return
+	}
+	seen := map[string]bool{key: true}
+	for stack := []string{key}; len(stack) > 0; {
+		fs := s.Lookup(stack[len(stack)-1])
+		stack = stack[:len(stack)-1]
+		if fs == nil {
+			continue
+		}
+		for _, k := range fs.allowedAllocs {
+			audit.hits[k]++
+		}
+		for _, c := range fs.Calls {
+			if !seen[c] {
+				seen[c] = true
+				stack = append(stack, c)
 			}
 		}
 	}

@@ -56,39 +56,71 @@ type LevelStats struct {
 	Flushed    uint64 // dirty blocks cleaned by FlushDirty
 }
 
-// level is one set-associative cache in flat, pointer-free arrays. A line
-// is an index set*ways+way into each of them.
+// linesPerPage is the number of lines whose data shares one 4 KiB page.
+const linesPerPage = 64
+
+// page holds the data of linesPerPage lines.
+type page [linesPerPage][mem.BlockSize]byte
+
+// level is one set-associative cache. Its tags and dirty bitmap are flat
+// arrays indexed by line = set*ways+way; line data lives in pages that are
+// allocated as lines are first installed, so a level costs what it holds.
 type level struct {
-	spec  LevelSpec
-	nsets uint64
-	tags  []uint64              // block+1 per line; 0 marks an invalid line
-	used  []uint64              // LRU stamp per line
-	dirty []uint64              // dirty bitmap, bit i%64 of word i/64 for line i
-	data  [][mem.BlockSize]byte // one slab: line i's block is data[i]
+	spec    LevelSpec
+	setMask uint64   // sets-1; the set count is a power of two
+	wayBits uint     // log2(ways)
+	wayMask uint64   // ways-1
+	tags    []uint64 // block+1 per line; 0 marks an invalid line
+	dirty   []uint64 // dirty bitmap, bit i%64 of word i/64 for line i
+	// order[s] lists set s's ways in recency order, 4 bits per way: nibble
+	// k is the way of recency rank k, the low nibble the most recently
+	// used. The ways are a permutation of the low nibbles from the start.
+	order []uint64
+	// slot[i] is 1 + line i's row among the pages (row r is
+	// pages[r/linesPerPage][r%linesPerPage]), 0 until i is first installed.
+	// Rows are handed out in install order and survive InvalidateAll.
+	slot  []uint32
+	pages []*page
+	rows  uint32 // rows handed out
 	stats LevelStats
 }
 
-// newLevel builds an empty level; NewHierarchy has checked the spec holds
-// at least one set.
-func newLevel(spec LevelSpec) *level {
-	nsets := spec.SizeB / (spec.Ways * mem.BlockSize)
+// freshOrder is the recency word of a fresh set: way k at rank k.
+const freshOrder = 0xFEDCBA9876543210
+
+// newLevel builds an empty level; NewHierarchy has checked its geometry.
+func newLevel(spec LevelSpec, nsets int) *level {
 	lines := nsets * spec.Ways
-	return &level{spec: spec, nsets: uint64(nsets),
-		tags:  make([]uint64, lines),
-		used:  make([]uint64, lines),
-		dirty: make([]uint64, (lines+63)/64),
-		data:  make([][mem.BlockSize]byte, lines),
+	l := &level{spec: spec,
+		setMask: uint64(nsets - 1),
+		wayBits: uint(bits.TrailingZeros(uint(spec.Ways))),
+		wayMask: uint64(spec.Ways - 1),
+		tags:    make([]uint64, lines),
+		dirty:   make([]uint64, (lines+63)/64),
+		order:   make([]uint64, nsets),
+		slot:    make([]uint32, lines),
+		pages:   make([]*page, 0, (lines+linesPerPage-1)/linesPerPage),
 	}
+	for s := range l.order {
+		l.order[s] = freshOrder
+	}
+	return l
 }
 
 // isDirty reports line i's dirty bit.
 func (l *level) isDirty(i int) bool { return l.dirty[uint(i)/64]>>(uint(i)%64)&1 != 0 }
 
+// data returns line i's block; i must have been installed at least once.
+func (l *level) data(i int) *[mem.BlockSize]byte {
+	r := l.slot[i] - 1
+	return &l.pages[r/linesPerPage][r%linesPerPage]
+}
+
 // lookup returns the line holding block, or -1.
 //
 //thynvm:hotpath
 func (l *level) lookup(block uint64) int {
-	base := int(block%l.nsets) * l.spec.Ways
+	base := int(block&l.setMask) << l.wayBits
 	for w, tag := range l.tags[base : base+l.spec.Ways] {
 		if tag == block+1 {
 			return base + w
@@ -97,21 +129,39 @@ func (l *level) lookup(block uint64) int {
 	return -1
 }
 
+// touch makes line i the most recently used way of its set: the way's
+// nibble moves to the low end of the set's recency word, and the nibbles
+// below its old place shift up one rank. It sits on every hit, so it is
+// written to stay inlinable (the word is reached through a pointer, the
+// way mask is a field).
+func (l *level) touch(i int) {
+	o := &l.order[uint(i)>>l.wayBits]
+	w := uint64(i) & l.wayMask
+	if *o&0xF == w {
+		return
+	}
+	// b is bit 3 of the lowest nibble equal to w (the SWAR zero-nibble
+	// test on o^w; its false positives lie only above the lowest match).
+	x := *o ^ w*0x1111111111111111
+	b := (x - 0x1111111111111111) &^ x & 0x8888888888888888
+	b &= -b
+	*o = *o&^(b<<1-1) | (*o&(b>>3-1))<<4 | w
+}
+
 // victim picks the replacement line in block's set: the first invalid way
-// if one exists, else the least recently used way (the lowest on a tie).
+// if one exists, else the least recently used way. Only install makes a
+// line valid and it touches the line, so when every way is valid each has
+// been touched since the last InvalidateAll and the recency word ranks
+// exactly those touches.
 func (l *level) victim(block uint64) int {
-	base := int(block%l.nsets) * l.spec.Ways
-	used := l.used[base : base+l.spec.Ways]
-	v := 0
+	s := int(block & l.setMask)
+	base := s << l.wayBits
 	for w, tag := range l.tags[base : base+l.spec.Ways] {
 		if tag == 0 {
 			return base + w
 		}
-		if used[w] < used[v] {
-			v = w
-		}
 	}
-	return base + v
+	return base + int(l.order[s]>>(4*l.wayMask)&0xF)
 }
 
 // Hierarchy is a multi-level write-back, write-allocate cache hierarchy in
@@ -119,7 +169,6 @@ func (l *level) victim(block uint64) int {
 type Hierarchy struct {
 	levels []*level
 	back   Backend
-	tick   uint64
 	dirty  int // dirty lines across all levels, maintained incrementally
 
 	// scratch is the block staging buffer for Read/Write. The hierarchy is
@@ -139,10 +188,18 @@ type Hierarchy struct {
 func NewHierarchy(back Backend, specs ...LevelSpec) *Hierarchy {
 	h := &Hierarchy{back: back, levels: make([]*level, 0, len(specs))}
 	for _, s := range specs {
-		if s.Ways <= 0 || s.SizeB < s.Ways*mem.BlockSize {
+		// A level's set index is a mask and its recency word holds one
+		// nibble per way, so both counts are powers of two and at most 16
+		// ways, and the size is exactly sets*ways blocks.
+		nsets := 0
+		if s.Ways > 0 {
+			nsets = s.SizeB / (s.Ways * mem.BlockSize)
+		}
+		if s.Ways <= 0 || s.Ways > 16 || s.Ways&(s.Ways-1) != 0 ||
+			nsets <= 0 || nsets&(nsets-1) != 0 || s.SizeB != nsets*s.Ways*mem.BlockSize {
 			panic(fmt.Sprintf("cache: invalid level spec %+v", s))
 		}
-		h.levels = append(h.levels, newLevel(s))
+		h.levels = append(h.levels, newLevel(s, nsets))
 	}
 	return h
 }
@@ -207,9 +264,8 @@ func (h *Hierarchy) fetch(now mem.Cycle, li int, block uint64, buf []byte) mem.C
 	now += l.spec.HitLat
 	if i := l.lookup(block); i >= 0 {
 		l.stats.Hits++
-		h.tick++
-		l.used[i] = h.tick
-		copy(buf, l.data[i][:])
+		l.touch(i)
+		copy(buf, l.data(i)[:])
 		return now
 	}
 	l.stats.Misses++
@@ -230,18 +286,28 @@ func (h *Hierarchy) fetch(now mem.Cycle, li int, block uint64, buf []byte) mem.C
 
 // install places a clean copy of data for block into level li, evicting as
 // needed, and returns its line. The victim's writeback is charged at now.
+// A line installed for the first time gets the level's next data row.
+//
+//thynvm:hotpath
 func (h *Hierarchy) install(now mem.Cycle, li int, block uint64, data []byte) int {
 	l := h.levels[li]
 	v := l.victim(block)
 	if l.isDirty(v) {
 		l.stats.Writebacks++
 		h.setDirty(l, v, false)
-		h.writeBelow(now, li, l.tags[v]-1, l.data[v][:])
+		h.writeBelow(now, li, l.tags[v]-1, l.data(v)[:])
+	}
+	if l.slot[v] == 0 {
+		if l.rows%linesPerPage == 0 {
+			//thynvm:allow-alloc a level pages its line data in on first install: at most one 4 KiB page per 64 lines over its lifetime, into a slice sized up front
+			l.pages = append(l.pages, new(page))
+		}
+		l.rows++
+		l.slot[v] = l.rows
 	}
 	l.tags[v] = block + 1
-	h.tick++
-	l.used[v] = h.tick
-	copy(l.data[v][:], data)
+	l.touch(v)
+	copy(l.data(v)[:], data)
 	return v
 }
 
@@ -251,10 +317,9 @@ func (h *Hierarchy) writeBelow(now mem.Cycle, li int, block uint64, data []byte)
 	for lj := li + 1; lj < len(h.levels); lj++ {
 		l := h.levels[lj]
 		if i := l.lookup(block); i >= 0 {
-			copy(l.data[i][:], data)
+			copy(l.data(i)[:], data)
 			h.setDirty(l, i, true)
-			h.tick++
-			l.used[i] = h.tick
+			l.touch(i)
 			return
 		}
 	}
@@ -323,10 +388,9 @@ func (h *Hierarchy) Write(now mem.Cycle, addr uint64, data []byte) mem.Cycle {
 	} else {
 		l1.stats.Hits++
 	}
-	copy(l1.data[i][addr%mem.BlockSize:], data)
+	copy(l1.data(i)[addr%mem.BlockSize:], data)
 	h.setDirty(l1, i, true)
-	h.tick++
-	l1.used[i] = h.tick
+	l1.touch(i)
 	return now
 }
 
@@ -356,11 +420,11 @@ func (h *Hierarchy) FlushDirty(now mem.Cycle, perBlockIssue mem.Cycle) (mem.Cycl
 				i := wi*64 + bits.TrailingZeros64(l.dirty[wi])
 				block := l.tags[i] - 1
 				now += perBlockIssue
-				now = h.back.WriteBlock(now, block*mem.BlockSize, l.data[i][:])
+				now = h.back.WriteBlock(now, block*mem.BlockSize, l.data(i)[:])
 				h.setDirty(l, i, false)
 				l.stats.Flushed++
 				flushed++
-				h.syncBelow(li, block, l.data[i][:])
+				h.syncBelow(li, block, l.data(i)[:])
 			}
 		}
 	}
@@ -375,7 +439,7 @@ func (h *Hierarchy) syncBelow(li int, block uint64, data []byte) {
 	for lj := li + 1; lj < len(h.levels); lj++ {
 		l := h.levels[lj]
 		if i := l.lookup(block); i >= 0 {
-			copy(l.data[i][:], data)
+			copy(l.data(i)[:], data)
 			h.setDirty(l, i, false)
 		}
 	}
@@ -389,13 +453,15 @@ func (h *Hierarchy) PeekOverlay(base uint64, buf []byte) {
 	block := base / mem.BlockSize
 	for _, l := range h.levels {
 		if i := l.lookup(block); i >= 0 {
-			copy(buf, l.data[i][:])
+			copy(buf, l.data(i)[:])
 			return
 		}
 	}
 }
 
-// InvalidateAll drops all cached state (a crash: caches are volatile).
+// InvalidateAll drops all cached state (a crash: caches are volatile). Line
+// data rows and the recency words stay: an invalid line's data is never
+// read, and a set evicts only once every way has been reinstalled.
 func (h *Hierarchy) InvalidateAll() {
 	for _, l := range h.levels {
 		clear(l.tags)

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -300,17 +301,38 @@ func TestFlushSyncsLowerLevelCopies(t *testing.T) {
 	}
 }
 
-// TestHierarchyAllocs guards the flat level layout: building the paper's
-// hierarchy takes a handful of allocations (four arrays per level, not one
-// per line), and a crash's invalidate and a checkpoint's flush take none.
+// TestHierarchyAllocs guards what a level costs: building the paper's
+// hierarchy takes a handful of allocations holding only tags, dirty bits,
+// recency words and data slots; driving it over a 64 KiB footprint pages in
+// line data for at most that footprint per level, however often a crash
+// invalidates it, since re-installs reuse their rows; and a crash's
+// invalidate and a checkpoint's flush take nothing.
 func TestHierarchyAllocs(t *testing.T) {
 	b := newFlatBackend()
 	if n := testing.AllocsPerRun(10, func() { Default(b) }); n > 32 {
 		t.Errorf("Default allocates %.0f times, want <= 32", n)
 	}
-	h := Default(b)
+	built := bytesPerRun(10, func() { Default(b) })
+	if built > 512<<10 {
+		t.Errorf("Default allocates %d bytes, want <= %d", built, 512<<10)
+	}
 	var buf [mem.BlockSize]byte
 	now := mem.Cycle(0)
+	drive := func() {
+		h := Default(b)
+		for pass := 0; pass < 4; pass++ {
+			for a := uint64(0); a < 64<<10; a += mem.BlockSize {
+				now = h.Write(now, a, buf[:])
+			}
+			now, _ = h.FlushDirty(now, 4)
+			h.InvalidateAll()
+		}
+	}
+	if n := bytesPerRun(10, drive) - built; n > 256<<10 {
+		t.Errorf("a 64 KiB footprint pages in %d bytes, want <= %d", n, 256<<10)
+	}
+
+	h := Default(b)
 	for a := uint64(0); a < 4<<20; a += 4 * mem.BlockSize {
 		now = h.Write(now, a, buf[:])
 	}
@@ -319,5 +341,47 @@ func TestHierarchyAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(10, h.InvalidateAll); n != 0 {
 		t.Errorf("InvalidateAll allocates %.0f times, want 0", n)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the average heap bytes
+// allocated by one call of f, after a warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestNewHierarchyRejectsBadGeometry: a level's set index is a mask and
+// its recency word holds one nibble per way, so the set and way counts
+// must be powers of two, ways at most 16, and the size exactly
+// sets*ways*64.
+func TestNewHierarchyRejectsBadGeometry(t *testing.T) {
+	for _, s := range []LevelSpec{
+		{Name: "no ways", SizeB: 1024, Ways: 0},
+		{Name: "3 ways", SizeB: 3 * 64, Ways: 3},
+		{Name: "32 ways", SizeB: 32 * 64, Ways: 32},
+		{Name: "3 sets", SizeB: 3 * 2 * 64, Ways: 2},
+		{Name: "no sets", SizeB: 64, Ways: 2},
+		{Name: "ragged", SizeB: 2*2*64 + 64, Ways: 2},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewHierarchy accepted %+v", s)
+				}
+			}()
+			NewHierarchy(newFlatBackend(), s)
+		}()
+	}
+	for _, s := range []LevelSpec{L1Spec(), L2Spec(), L3Spec(),
+		{Name: "direct", SizeB: 64, Ways: 1}, {Name: "wide", SizeB: 16 * 64, Ways: 16}} {
+		NewHierarchy(newFlatBackend(), s)
 	}
 }

@@ -47,8 +47,10 @@ func (b *recBackend) WriteBlock(now mem.Cycle, addr uint64, data []byte) mem.Cyc
 // cache peeks and a mid-run invalidation, and hashes everything the
 // hierarchy shows the outside: the ordered backend call log, every
 // returned cycle, every byte read, the flush results, Stats and
-// DirtyBlocks. The constants were captured before the level layout became
-// flat arrays; any change to replacement, flush order or timing moves them.
+// DirtyBlocks. The constants of default and tiny were captured before the
+// level layout became flat arrays, and direct's before line data moved into
+// pages and LRU stamps into one recency word per set; any change to
+// replacement, flush order or timing moves them.
 func TestHierarchyBehaviourPinned(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -58,6 +60,7 @@ func TestHierarchyBehaviourPinned(t *testing.T) {
 	}{
 		{"default", Default, 300_000, "a5eec495a7ae7c154b0c9365ab7d3379dbb74f2f7d5cc89c181335c07c8423e9"},
 		{"tiny", tinyHierarchy, 20_000, "00c51da248247bb5e25b59fe5ffe521dbdb9974377dfed5e96d5e0fd7fc20613"},
+		{"direct", directHierarchy, 100_000, "3b1b14129d87daff2617f4455214a9ff8d5fcd7bec27488f84095529eadb9398"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -113,4 +116,13 @@ func TestHierarchyBehaviourPinned(t *testing.T) {
 			}
 		})
 	}
+}
+
+// directHierarchy puts a direct-mapped (1-way) level over a 16-way one, the
+// two ends of the associativity a level supports: 64 sets each.
+func directHierarchy(b Backend) *Hierarchy {
+	return NewHierarchy(b,
+		LevelSpec{Name: "L1", SizeB: 4 << 10, Ways: 1, HitLat: 2},
+		LevelSpec{Name: "L2", SizeB: 64 << 10, Ways: 16, HitLat: 10},
+	)
 }

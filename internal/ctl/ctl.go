@@ -82,12 +82,11 @@ type Controller interface {
 	// windows; stop-the-world schemes never drain.
 	CommitAt() (inFlight bool, at mem.Cycle)
 
-	// SetWriteFault, SetCrashFault and SetReadFault install fault hooks on
-	// the durable (NVM) device for crash-torture campaigns; see
-	// mem.WriteFault, mem.CrashFault and mem.ReadFault for the fault models.
+	// SetWriteFault and SetCrashFault install fault hooks on the durable
+	// (NVM) device for crash-torture campaigns; see mem.WriteFault and
+	// mem.CrashFault for the fault models.
 	SetWriteFault(f mem.WriteFault)
 	SetCrashFault(f mem.CrashFault)
-	SetReadFault(f mem.ReadFault)
 	// MetadataKind classifies a durable-device address, so a fault injector
 	// can target the scheme's persist points without re-deriving its
 	// address-space layout.
@@ -113,9 +112,6 @@ func (d *Durable) SetWriteFault(f mem.WriteFault) { d.Dev.SetWriteFault(f) }
 
 // SetCrashFault implements Controller.
 func (d *Durable) SetCrashFault(f mem.CrashFault) { d.Dev.SetCrashFault(f) }
-
-// SetReadFault implements Controller.
-func (d *Durable) SetReadFault(f mem.ReadFault) { d.Dev.SetReadFault(f) }
 
 // SetRecoverInterrupt implements Controller.
 func (d *Durable) SetRecoverInterrupt(at mem.Cycle) { d.Cut = at }

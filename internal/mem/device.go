@@ -71,13 +71,6 @@ const pendBuckets = 4096
 // attempted the full write.
 type WriteFault func(addr uint64, data []byte, src WriteSource) []byte
 
-// ReadFault intercepts a completed read (fault injection; media model:
-// the device returned data, but not the data that was stored). The hook
-// sees the final payload — store contents with pending writes forwarded —
-// and may mutate buf in place (bit flips, stuck values). Timing,
-// statistics and stored contents are unaffected.
-type ReadFault func(addr uint64, buf []byte)
-
 // CrashFault intercepts, at Crash(at), each posted write still in flight
 // (completion after the crash instant) — the writes a power failure would
 // normally discard entirely. Returning nil keeps that behavior; returning
@@ -136,7 +129,6 @@ type Device struct {
 	// Fault-injection hooks (crash-torture); nil in normal operation.
 	writeFault WriteFault
 	crashFault CrashFault
-	readFault  ReadFault
 
 	// Telemetry: latency observations go to rec when recOn; the flag is
 	// cached so the disabled path costs one branch, no interface call.
@@ -205,10 +197,6 @@ func (d *Device) SetWriteFault(f WriteFault) { d.writeFault = f }
 // SetCrashFault installs (or, with nil, removes) a torn-persist fault hook
 // consulted at Crash for writes still in flight.
 func (d *Device) SetCrashFault(f CrashFault) { d.crashFault = f }
-
-// SetReadFault installs (or, with nil, removes) a media-error fault hook
-// applied to every subsequent timed read's payload.
-func (d *Device) SetReadFault(f ReadFault) { d.readFault = f }
 
 // Stats returns a copy of the device's counters.
 func (d *Device) Stats() DeviceStats { return d.stats }
@@ -403,9 +391,6 @@ func (d *Device) Read(now Cycle, addr uint64, buf []byte) Cycle {
 	}
 	d.store.Read(addr, buf)
 	d.forwardPending(addr, buf)
-	if d.readFault != nil {
-		d.readFault(addr, buf)
-	}
 	d.stats.Reads++
 	d.stats.BytesRead += uint64(len(buf))
 	if d.recOn {
@@ -441,9 +426,6 @@ func (d *Device) ReadBackground(now Cycle, addr uint64, buf []byte) Cycle {
 	}
 	d.store.Read(addr, buf)
 	d.forwardPending(addr, buf)
-	if d.readFault != nil {
-		d.readFault(addr, buf)
-	}
 	d.stats.Reads++
 	d.stats.BytesRead += uint64(len(buf))
 	if d.recOn {

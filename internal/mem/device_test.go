@@ -340,3 +340,22 @@ func TestMaxPendingDone(t *testing.T) {
 		t.Errorf("MaxPendingDone = %d, want %d", got, done)
 	}
 }
+
+// TestDeviceReadDoesNotAllocate: a device read keeps no reference to its
+// buffer, so callers' stack buffers stay on the stack. Both read ports
+// forward a posted write here.
+func TestDeviceReadDoesNotAllocate(t *testing.T) {
+	d := NewDevice(NVMSpec())
+	d.Write(0, PageSize, bytes.Repeat([]byte{0x3c}, BlockSize), SrcCPU)
+	n := testing.AllocsPerRun(100, func() {
+		var page [PageSize]byte
+		d.Read(0, 0, page[:])
+		d.ReadBackground(0, PageSize, page[:])
+		if page[0] != 0x3c {
+			t.Fatal("read did not forward the posted write")
+		}
+	})
+	if n != 0 {
+		t.Errorf("Read+ReadBackground into a stack page allocate %.0f times, want 0", n)
+	}
+}

@@ -64,6 +64,10 @@ type Machine struct {
 
 	rec   obs.Recorder
 	recOn bool
+
+	// peekBlock stages Peek's blocks. A local array would escape through
+	// the ctl.Controller call, one heap allocation per Peek.
+	peekBlock [mem.BlockSize]byte
 }
 
 // NewMachine builds a machine over ctrl. withCaches selects the paper's
@@ -248,7 +252,7 @@ func (m *Machine) Write(addr uint64, data []byte) {
 //
 //thynvm:hotpath
 func (m *Machine) Peek(addr uint64, buf []byte) {
-	var block [mem.BlockSize]byte
+	block := &m.peekBlock
 	for len(buf) > 0 {
 		n := int(mem.BlockSize - addr%mem.BlockSize)
 		if n > len(buf) {

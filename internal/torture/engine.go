@@ -54,6 +54,11 @@ type engine struct {
 	tearEver  bool // any tear fired over the schedule's lifetime
 	mediaEver bool // any media fault landed over the schedule's lifetime
 	halted    bool // an accepted unrecoverable refusal ended the schedule
+
+	// images holds an ideal system's crash-instant image and then its
+	// recovered one, a footprint each; allocated at the first crash and
+	// reused by every later one.
+	images []byte
 }
 
 // Run executes a schedule and reports its outcome. A non-nil error means
@@ -232,7 +237,10 @@ func (e *engine) crash(op *Op) error {
 
 	var idealImage []byte
 	if e.isID {
-		idealImage = make([]byte, e.s.Footprint)
+		if e.images == nil {
+			e.images = make([]byte, 2*e.s.Footprint)
+		}
+		idealImage = e.images[:e.s.Footprint]
 		m.Peek(0, idealImage)
 	}
 
@@ -291,7 +299,7 @@ func (e *engine) crash(op *Op) error {
 
 	if e.isID {
 		// Ideal systems preserve the crash-instant image by assumption.
-		after := make([]byte, e.s.Footprint)
+		after := e.images[e.s.Footprint:]
 		m.Peek(0, after)
 		if !bytes.Equal(after, idealImage) {
 			e.out.Verdicts = append(e.out.Verdicts, "violation")

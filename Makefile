@@ -6,7 +6,7 @@ BENCHPKGS := ./internal/radix ./internal/mem ./internal/cache ./internal/core ./
 BENCHTIME ?= 2s
 BENCHDIR  := bench
 
-.PHONY: all build test race vet lint lint-report bench bench-baseline bench-cmp bench-smoke clean
+.PHONY: all build test race vet lint bench bench-baseline bench-cmp bench-smoke clean
 
 all: build test
 
@@ -30,22 +30,18 @@ STATICCHECK_VERSION := 2025.1.1
 # the intraprocedural four (maporder, walltime, hotalloc, deferclose; see
 # DESIGN.md §9) plus the interprocedural four (hotpathprop, persistguard,
 # errflow, gosafety; DESIGN.md §14) over one module-wide summary table —
-# then staticcheck when installed (skipped, not failed, in hermetic
-# environments with no module cache).
+# with the escape-hatch audit (-report: per-directive counts, exit 1 on any
+# finding or on a stale / unknown / reason-less //thynvm: directive), then
+# staticcheck when installed (skipped, not failed, in hermetic environments
+# with no module cache). CI uploads the output as an artifact.
 lint:
 	$(GO) vet $(PKGS)
-	$(GO) run ./cmd/thynvm-lint $(PKGS)
+	$(GO) run ./cmd/thynvm-lint -report $(PKGS)
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck $(PKGS); \
 	else \
 		echo "staticcheck not installed; skipping (pin: staticcheck@$(STATICCHECK_VERSION))"; \
 	fi
-
-# Escape-hatch audit: runs the suite, prints per-directive counts, and
-# exits 1 on any finding or on stale / unknown / reason-less //thynvm:
-# directives. CI uploads the output as an artifact.
-lint-report:
-	$(GO) run ./cmd/thynvm-lint -report $(PKGS)
 
 # Run the hot-path benchmarks and save the result for comparison.
 bench:

@@ -8,7 +8,8 @@
 // compile time; the golden tests then only ever confirm what the checker
 // already proved.
 //
-// The tool loads every matched package first and computes the module-wide
+// The tool loads every matched package first and runs the suite over all
+// of them at once through analysis.Run, which computes the module-wide
 // per-function summary table once (DESIGN.md §14), so the interprocedural
 // analyzers see the whole call graph regardless of which package they are
 // visiting.
@@ -31,7 +32,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"thynvm/internal/analysis"
 	"thynvm/internal/analysis/load"
@@ -64,15 +64,11 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "thynvm-lint:", err)
 		return 2
 	}
-
-	// One summary table for the whole load: the interprocedural analyzers
-	// resolve call edges across package boundaries through it.
-	units := make([]analysis.SummaryUnit, len(pkgs))
-	for i, pkg := range pkgs {
-		units[i] = analysis.SummaryUnit{Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info}
+	diags, r, err := analysis.Run(pkgs, analysis.All)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "thynvm-lint:", err)
+		return 2
 	}
-	sums := analysis.ComputeSummaries(units)
-	audit := analysis.NewDirectiveAudit()
 
 	failed := false
 	for _, pkg := range pkgs {
@@ -80,18 +76,13 @@ func run(args []string) int {
 			fmt.Fprintf(os.Stderr, "thynvm-lint: %s: type error: %v\n", pkg.ImportPath, terr)
 			failed = true
 		}
-		diags, err := runAnalyzers(pkg, sums, audit)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "thynvm-lint:", err)
-			return 2
-		}
-		for _, d := range diags {
-			fmt.Printf("%s: %s (%s)\n", pkg.Fset.Position(d.Pos), d.Message, d.Analyzer)
-			failed = true
-		}
+	}
+	for _, d := range diags {
+		// Every load shares one file set, so any package's resolves d.Pos.
+		fmt.Printf("%s: %s (%s)\n", pkgs[0].Fset.Position(d.Pos), d.Message, d.Analyzer)
+		failed = true
 	}
 	if *report {
-		r := analysis.BuildReport(units, audit)
 		fmt.Print(r.Format())
 		if !r.OK() {
 			failed = true
@@ -101,32 +92,4 @@ func run(args []string) int {
 		return 1
 	}
 	return 0
-}
-
-// runAnalyzers applies the whole suite to one loaded package, returning
-// position-sorted diagnostics.
-func runAnalyzers(pkg *load.Package, sums *analysis.Summaries, audit *analysis.DirectiveAudit) ([]analysis.Diagnostic, error) {
-	var diags []analysis.Diagnostic
-	for _, a := range analysis.All {
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-			Summaries: sums,
-			Audit:     audit,
-			Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %s: %v", pkg.ImportPath, a.Name, err)
-		}
-	}
-	sort.Slice(diags, func(i, j int) bool {
-		if diags[i].Pos != diags[j].Pos {
-			return diags[i].Pos < diags[j].Pos
-		}
-		return diags[i].Analyzer < diags[j].Analyzer
-	})
-	return diags, nil
 }

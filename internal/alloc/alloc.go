@@ -119,7 +119,11 @@ func (a *Arena) Serialize() []byte {
 	return out
 }
 
-// Restore rebuilds the allocator from Serialize output.
+// Restore rebuilds the allocator from Serialize output. The state comes
+// back from persistent memory, so Restore refuses any blob Serialize could
+// not have written: a zero base, a bump pointer outside [base, end], a size
+// class that is not a non-zero multiple of the alignment, a free address
+// outside [base, next), a count longer than the blob, or trailing bytes.
 func Restore(b []byte) (*Arena, error) {
 	off := 0
 	next := func() (uint64, error) {
@@ -146,15 +150,24 @@ func Restore(b []byte) (*Arena, error) {
 	if err != nil {
 		return nil, err
 	}
+	if base == 0 || nx < base || nx > end {
+		return nil, fmt.Errorf("alloc: bad bounds base %#x next %#x end %#x", base, nx, end)
+	}
 	a := &Arena{base: base, end: end, next: nx, free: make(map[uint64][]uint64)}
 	for i := uint64(0); i < nsz; i++ {
 		sz, err := next()
 		if err != nil {
 			return nil, err
 		}
+		if sz == 0 || sz%align != 0 {
+			return nil, fmt.Errorf("alloc: bad size class %d", sz)
+		}
 		cnt, err := next()
 		if err != nil {
 			return nil, err
+		}
+		if cnt > uint64(len(b)-off)/8 {
+			return nil, fmt.Errorf("alloc: %d free extents of %d bytes overrun the state", cnt, sz)
 		}
 		lst := make([]uint64, 0, cnt)
 		for j := uint64(0); j < cnt; j++ {
@@ -162,9 +175,15 @@ func Restore(b []byte) (*Arena, error) {
 			if err != nil {
 				return nil, err
 			}
+			if addr < base || addr >= nx {
+				return nil, fmt.Errorf("alloc: free extent %#x outside [%#x, %#x)", addr, base, nx)
+			}
 			lst = append(lst, addr)
 		}
 		a.free[sz] = lst
+	}
+	if off != len(b) {
+		return nil, fmt.Errorf("alloc: %d trailing bytes after the state", len(b)-off)
 	}
 	return a, nil
 }

@@ -1,6 +1,8 @@
 package alloc
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -90,6 +92,65 @@ func TestRestoreRejectsTruncated(t *testing.T) {
 	if _, err := Restore(b[:len(b)-1]); err == nil {
 		t.Error("truncated state accepted")
 	}
+}
+
+// words encodes v as Serialize does.
+func words(v ...uint64) []byte {
+	var b []byte
+	for _, w := range v {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return b
+}
+
+// Crafted state read back from persistent memory is refused, not trusted:
+// a huge count must not reach make, and bounds New would reject must not
+// reach Alloc.
+func TestRestoreRejectsCrafted(t *testing.T) {
+	const base, end = 4096, 4096 + 1<<20
+	for _, tc := range []struct {
+		name string
+		blob []byte
+	}{
+		{"huge count", words(base, end, base+64, 1, 16, 1<<62)},
+		{"zero base", words(0, end, 64, 0)},
+		{"next past end", words(base, end, end+16, 0)},
+		{"next below base", words(base, end, base-16, 0)},
+		{"zero size class", words(base, end, base+64, 1, 0, 1, base)},
+		{"unaligned size class", words(base, end, base+64, 1, 24, 1, base)},
+		{"free extent past next", words(base, end, base+64, 1, 16, 1, base+64)},
+		{"free extent below base", words(base, end, base+64, 1, 16, 1, base-16)},
+		{"trailing bytes", append(words(base, end, base+64, 0), 0)},
+	} {
+		if _, err := Restore(tc.blob); err == nil {
+			t.Errorf("%s: state accepted", tc.name)
+		}
+	}
+}
+
+// FuzzRestore: Restore never panics, and any state it accepts survives a
+// Serialize round trip unchanged.
+func FuzzRestore(f *testing.F) {
+	a := MustNew(4096, 1<<20)
+	p, _ := a.Alloc(64)
+	a.Alloc(128)
+	a.Free(p, 64)
+	f.Add(a.Serialize())
+	f.Add(words(4096, 8192, 4160, 1, 16, 1<<62))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		a, err := Restore(b)
+		if err != nil {
+			return
+		}
+		out := a.Serialize()
+		r, err := Restore(out)
+		if err != nil {
+			t.Fatalf("Restore refused Serialize output %x of accepted state %x: %v", out, b, err)
+		}
+		if again := r.Serialize(); !bytes.Equal(again, out) {
+			t.Fatalf("round trip changed the state: %x, then %x", out, again)
+		}
+	})
 }
 
 // Property: allocations never overlap and stay within the arena.

@@ -7,14 +7,15 @@
 // The framework mirrors the upstream API shape (Analyzer, Pass,
 // Diagnostic) so the analyzers could be ported to the real go/analysis
 // driver verbatim if x/tools ever becomes a dependency; until then the
-// suite runs through internal/analysis/load (a go list + go/types package
-// loader) and cmd/thynvm-lint, entirely on the standard library.
+// suite runs entirely on the standard library: internal/analysis/load
+// parses and type-checks, and Run drives the analyzers for the CLI, the
+// tests and the fixture runner alike.
 //
-// Since PR 10 the suite is interprocedural: a module-wide call graph with
-// per-function summaries (allocates? touches durable state? raises the
-// generation-safety guard? returns a durability-critical error?) is
-// computed bottom-up over strongly connected components (summary.go) and
-// shared by every analyzer through Pass.Summaries — see DESIGN.md §14.
+// The suite is interprocedural: a call graph with per-function summaries
+// (allocates? touches durable state? raises the generation-safety guard?
+// returns a durability-critical error?) is computed bottom-up over
+// strongly connected components (summary.go) and shared by every analyzer
+// through Pass.Summaries — see DESIGN.md §14.
 //
 // Escape hatches are line directives. A directive on the flagged line, or
 // on the line directly above it, suppresses the finding:
@@ -41,7 +42,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
+
+	"thynvm/internal/analysis/load"
 )
 
 // An Analyzer describes one named check over a single package.
@@ -72,30 +76,55 @@ type Pass struct {
 	TypesInfo *types.Info
 	Report    func(Diagnostic)
 
-	// Summaries holds the module-wide per-function summary table
-	// (summary.go). Drivers that load the whole module compute it once and
-	// share it across analyzers and packages; when nil, the interprocedural
-	// analyzers fall back to summaries of the current package only.
+	// Summaries is the per-function summary table of the whole run
+	// (summary.go), shared across analyzers and packages.
 	Summaries *Summaries
 
-	// Audit, when non-nil, records every escape-hatch directive that
-	// suppresses a finding, so `thynvm-lint -report` can flag the stale
-	// ones (report.go).
+	// Audit records every escape-hatch directive that suppresses a
+	// finding, so the run's report can flag the stale ones (report.go).
 	Audit *DirectiveAudit
 
 	// directives caches the per-file line → directive table.
 	directives map[*ast.File]map[int][]directive
 }
 
-// summaries returns the module summary table, computing a package-local
-// one on first use when the driver supplied none (fixture runs).
-func (p *Pass) summaries() *Summaries {
-	if p.Summaries == nil {
-		p.Summaries = ComputeSummaries([]SummaryUnit{{
-			Fset: p.Fset, Files: p.Files, Pkg: p.Pkg, Info: p.TypesInfo,
-		}})
+// Run applies analyzers to every package of pkgs as one run of the suite.
+// It computes one summary table over all of pkgs, so the interprocedural
+// analyzers resolve calls across package boundaries, and one directive
+// audit, cross-checked into the returned report once every pass is done.
+// Diagnostics come in pkgs order, sorted by position (then analyzer)
+// within a package. An analyzer error aborts the run. Type errors are the
+// caller's to report: they stay in each package's TypeErrors.
+func Run(pkgs []*load.Package, analyzers []*Analyzer) ([]Diagnostic, *Report, error) {
+	sums := ComputeSummaries(pkgs)
+	audit := &DirectiveAudit{hits: make(map[auditKey]int)}
+	var diags []Diagnostic
+	for _, pkg := range pkgs {
+		start := len(diags)
+		for _, a := range analyzers {
+			pass := &Pass{
+				Analyzer:  a,
+				Fset:      pkg.Fset,
+				Files:     pkg.Files,
+				Pkg:       pkg.Types,
+				TypesInfo: pkg.Info,
+				Summaries: sums,
+				Audit:     audit,
+				Report:    func(d Diagnostic) { diags = append(diags, d) },
+			}
+			if err := a.Run(pass); err != nil {
+				return nil, nil, fmt.Errorf("%s: %s: %v", pkg.ImportPath, a.Name, err)
+			}
+		}
+		own := diags[start:]
+		sort.Slice(own, func(i, j int) bool {
+			if own[i].Pos != own[j].Pos {
+				return own[i].Pos < own[j].Pos
+			}
+			return own[i].Analyzer < own[j].Analyzer
+		})
 	}
-	return p.Summaries
+	return diags, BuildReport(pkgs, audit), nil
 }
 
 // A Diagnostic is one finding at one source position.
@@ -176,8 +205,7 @@ func allowedAt(table map[int][]directive, fset *token.FileSet, pos token.Pos, na
 
 // Allowed reports whether a finding at pos inside file is suppressed by an
 // //thynvm:<name> directive on the same line or the line directly above,
-// and records the suppression with the pass's directive audit if one is
-// attached.
+// and records the suppression with the pass's directive audit.
 func (p *Pass) Allowed(file *ast.File, pos token.Pos, name string) bool {
 	line, ok := allowedAt(p.fileDirectives(file), p.Fset, pos, name)
 	if ok {

@@ -19,14 +19,9 @@ package analysistest
 import (
 	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
-	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -39,115 +34,55 @@ import (
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, importPaths ...string) {
 	t.Helper()
 	for _, path := range importPaths {
-		runOne(t, testdata, a, path)
-	}
-}
-
-func runOne(t *testing.T, testdata string, a *analysis.Analyzer, importPath string) {
-	t.Helper()
-	fset, files, pkg, info := check(t, testdata, importPath)
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      fset,
-		Files:     files,
-		Pkg:       pkg,
-		TypesInfo: info,
-		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-	}
-	if err := a.Run(pass); err != nil {
-		t.Fatalf("%s: analyzer %s: %v", importPath, a.Name, err)
-	}
-
-	wants := collectWants(t, fset, files)
-	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
-	for _, d := range diags {
-		pos := fset.Position(d.Pos)
-		key := fmt.Sprintf("%s:%d", filepath.Base(pos.Filename), pos.Line)
-		if !matchWant(wants, key, d.Message) {
-			t.Errorf("%s: unexpected diagnostic at %s: %s", importPath, key, d.Message)
+		pkg := loadFixture(t, testdata, path)
+		diags, _, err := analysis.Run([]*load.Package{pkg}, []*analysis.Analyzer{a})
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
 		}
-	}
-	for key, res := range wants {
-		for _, re := range res {
-			t.Errorf("%s: no diagnostic at %s matching %q", importPath, key, re)
+		wants := collectWants(t, pkg.Fset, pkg.Files)
+		for _, d := range diags {
+			pos := pkg.Fset.Position(d.Pos)
+			key := fmt.Sprintf("%s:%d", filepath.Base(pos.Filename), pos.Line)
+			if !matchWant(wants, key, d.Message) {
+				t.Errorf("%s: unexpected diagnostic at %s: %s", path, key, d.Message)
+			}
+		}
+		for key, res := range wants {
+			for _, re := range res {
+				t.Errorf("%s: no diagnostic at %s matching %q", path, key, re)
+			}
 		}
 	}
 }
 
 // Audit runs analyzers over one fixture package the way `thynvm-lint
-// -report` runs the suite, with one summary table and one directive audit,
-// fails the test on any diagnostic, and returns the directive report.
+// -report` runs the suite, fails the test on any diagnostic, and returns
+// the directive report.
 func Audit(t *testing.T, testdata, importPath string, analyzers ...*analysis.Analyzer) *analysis.Report {
 	t.Helper()
-	fset, files, pkg, info := check(t, testdata, importPath)
-	unit := analysis.SummaryUnit{Fset: fset, Files: files, Pkg: pkg, Info: info}
-	sums := analysis.ComputeSummaries([]analysis.SummaryUnit{unit})
-	audit := analysis.NewDirectiveAudit()
-	for _, a := range analyzers {
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
-			Summaries: sums,
-			Audit:     audit,
-			Report: func(d analysis.Diagnostic) {
-				t.Errorf("%s: %s: %s (%s)", importPath, fset.Position(d.Pos), d.Message, a.Name)
-			},
-		}
-		if err := a.Run(pass); err != nil {
-			t.Fatalf("%s: analyzer %s: %v", importPath, a.Name, err)
-		}
-	}
-	return analysis.BuildReport([]analysis.SummaryUnit{unit}, audit)
-}
-
-// check parses and type-checks one fixture package.
-func check(t *testing.T, testdata, importPath string) (*token.FileSet, []*ast.File, *types.Package, *types.Info) {
-	t.Helper()
-	dir := filepath.Join(testdata, "src", filepath.FromSlash(importPath))
-	fset := token.NewFileSet()
-	files, err := parseDir(fset, dir)
+	pkg := loadFixture(t, testdata, importPath)
+	diags, report, err := analysis.Run([]*load.Package{pkg}, analyzers)
 	if err != nil {
 		t.Fatalf("%s: %v", importPath, err)
 	}
-	info := load.NewInfo()
-	var typeErrs []error
-	conf := types.Config{
-		Importer: importer.ForCompiler(fset, "source", nil),
-		Error:    func(err error) { typeErrs = append(typeErrs, err) },
+	for _, d := range diags {
+		t.Errorf("%s: %s: %s (%s)", importPath, pkg.Fset.Position(d.Pos), d.Message, d.Analyzer)
 	}
-	pkg, err := conf.Check(importPath, fset, files, info)
-	if len(typeErrs) > 0 {
-		t.Fatalf("%s: fixture does not type-check: %v", importPath, typeErrs)
-	} else if err != nil {
-		t.Fatalf("%s: fixture does not type-check: %v", importPath, err)
-	}
-	return fset, files, pkg, info
+	return report
 }
 
-func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
-	entries, err := os.ReadDir(dir)
+// loadFixture loads the fixture package testdata/src/<importPath>, which
+// must type-check.
+func loadFixture(t *testing.T, testdata, importPath string) *load.Package {
+	t.Helper()
+	pkg, err := load.Dir(filepath.Join(testdata, "src", filepath.FromSlash(importPath)), importPath)
 	if err != nil {
-		return nil, err
+		t.Fatalf("%s: %v", importPath, err)
 	}
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
+	if len(pkg.TypeErrors) > 0 {
+		t.Fatalf("%s: fixture does not type-check: %v", importPath, pkg.TypeErrors)
 	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no fixture .go files in %s", dir)
-	}
-	return files, nil
+	return pkg
 }
 
 // wantArg extracts one double- or back-quoted string starting at s, which

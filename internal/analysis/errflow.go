@@ -33,28 +33,27 @@ var ErrFlow = &Analyzer{
 }
 
 func runErrFlow(pass *Pass) error {
-	sums := pass.summaries()
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.ExprStmt:
 				if call, ok := n.X.(*ast.CallExpr); ok {
-					if desc, ok := durableCall(pass, sums, call); ok {
+					if desc, ok := durableCall(pass, call); ok {
 						reportDrop(pass, file, call, desc, "discarded")
 					}
 				}
 			case *ast.DeferStmt:
 				// Still descend: a deferred closure body can hide its own
 				// bare drops, caught by the ExprStmt case.
-				if desc, ok := durableCall(pass, sums, n.Call); ok {
+				if desc, ok := durableCall(pass, n.Call); ok {
 					reportDrop(pass, file, n.Call, desc, "dropped by defer")
 				}
 			case *ast.GoStmt:
-				if desc, ok := durableCall(pass, sums, n.Call); ok {
+				if desc, ok := durableCall(pass, n.Call); ok {
 					reportDrop(pass, file, n.Call, desc, "dropped by go statement")
 				}
 			case *ast.AssignStmt:
-				checkAssignDrop(pass, sums, file, n)
+				checkAssignDrop(pass, file, n)
 			}
 			return true
 		})
@@ -65,7 +64,7 @@ func runErrFlow(pass *Pass) error {
 // durableCall classifies call as durability-critical: a direct primitive
 // (durablePrimitive) or a module function whose summary says it may return
 // a durable error.
-func durableCall(pass *Pass, sums *Summaries, call *ast.CallExpr) (string, bool) {
+func durableCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 	if desc, ok := durablePrimitive(pass.TypesInfo, pass.Pkg.Path(), call); ok {
 		return desc, true
 	}
@@ -73,7 +72,7 @@ func durableCall(pass *Pass, sums *Summaries, call *ast.CallExpr) (string, bool)
 	if fn == nil || fn.Pkg() == nil || !InModule(fn.Pkg().Path()) {
 		return "", false
 	}
-	if cs := sums.Lookup(FuncKey(fn)); cs != nil && cs.ReturnsDurableErr {
+	if cs := pass.Summaries.Lookup(FuncKey(fn)); cs != nil && cs.ReturnsDurableErr {
 		return shortKey(FuncKey(fn)), true
 	}
 	return "", false
@@ -82,13 +81,13 @@ func durableCall(pass *Pass, sums *Summaries, call *ast.CallExpr) (string, bool)
 // checkAssignDrop flags durable calls whose error-position result lands in
 // the blank identifier. Two shapes: a multi-value call spread over the LHS
 // (`n, _ := w.Flush()`), and 1:1 assignments (`_ = s.Sync()`).
-func checkAssignDrop(pass *Pass, sums *Summaries, file *ast.File, as *ast.AssignStmt) {
+func checkAssignDrop(pass *Pass, file *ast.File, as *ast.AssignStmt) {
 	if len(as.Rhs) == 1 && len(as.Lhs) > 1 {
 		call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
 		if !ok {
 			return
 		}
-		desc, ok := durableCall(pass, sums, call)
+		desc, ok := durableCall(pass, call)
 		if !ok {
 			return
 		}
@@ -110,7 +109,7 @@ func checkAssignDrop(pass *Pass, sums *Summaries, file *ast.File, as *ast.Assign
 		if tup, ok := pass.TypesInfo.TypeOf(call).(*types.Tuple); ok && tup.Len() > 1 {
 			continue
 		}
-		if desc, ok := durableCall(pass, sums, call); ok {
+		if desc, ok := durableCall(pass, call); ok {
 			reportDrop(pass, file, call, desc, "assigned to _")
 		}
 	}

@@ -27,20 +27,19 @@ var HotPathProp = &Analyzer{
 }
 
 func runHotPathProp(pass *Pass) error {
-	sums := pass.summaries()
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil || !HotPath(fn) {
 				continue
 			}
-			checkHotPathCalls(pass, sums, file, fn)
+			checkHotPathCalls(pass, file, fn)
 		}
 	}
 	return nil
 }
 
-func checkHotPathCalls(pass *Pass, sums *Summaries, file *ast.File, fn *ast.FuncDecl) {
+func checkHotPathCalls(pass *Pass, file *ast.File, fn *ast.FuncDecl) {
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -51,12 +50,12 @@ func checkHotPathCalls(pass *Pass, sums *Summaries, file *ast.File, fn *ast.Func
 			return true // dynamic, builtin or extra-module call; no summary
 		}
 		key := FuncKey(callee)
-		cs := sums.Lookup(key)
+		cs := pass.Summaries.Lookup(key)
 		if cs == nil || cs.HotPath {
 			return true
 		}
 		if !cs.Allocates {
-			sums.creditAllowedAllocs(key, pass.Audit)
+			pass.Summaries.creditAllowedAllocs(key, pass.Audit)
 			return true
 		}
 		if pass.Allowed(file, call.Pos(), "allow-alloc") {
@@ -65,7 +64,7 @@ func checkHotPathCalls(pass *Pass, sums *Summaries, file *ast.File, fn *ast.Func
 		pass.Reportf(call.Pos(),
 			"hotpath function %s calls %s, which may allocate: %s; "+
 				"restructure or annotate //thynvm:allow-alloc <reason>",
-			fn.Name.Name, shortKey(key), sums.AllocChain(key))
+			fn.Name.Name, shortKey(key), pass.Summaries.AllocChain(key))
 		return true
 	})
 }

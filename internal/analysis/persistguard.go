@@ -40,7 +40,6 @@ var PersistGuard = &Analyzer{
 }
 
 func runPersistGuard(pass *Pass) error {
-	sums := pass.summaries()
 	for _, file := range pass.Files {
 		dirs := pass.fileDirectives(file)
 		for _, decl := range file.Decls {
@@ -53,7 +52,7 @@ func runPersistGuard(pass *Pass) error {
 				// call sites, which inherit it through the summary table.
 				continue
 			}
-			checkGuardDominance(pass, sums, dirs, fn)
+			checkGuardDominance(pass, dirs, fn)
 		}
 	}
 	return nil
@@ -64,7 +63,7 @@ func runPersistGuard(pass *Pass) error {
 // reached first. ast.Inspect's pre-order traversal visits an if-statement's
 // init clause before its body, so a raise in the gating condition dominates
 // the writes it gates.
-func checkGuardDominance(pass *Pass, sums *Summaries, dirs map[int][]directive, fn *ast.FuncDecl) {
+func checkGuardDominance(pass *Pass, dirs map[int][]directive, fn *ast.FuncDecl) {
 	raised := false
 	seenDirLine := make(map[int]bool) // one finding per marker directive
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -76,7 +75,7 @@ func checkGuardDominance(pass *Pass, sums *Summaries, dirs map[int][]directive, 
 			if callee == nil || callee.Pkg() == nil || !InModule(callee.Pkg().Path()) {
 				return true
 			}
-			cs := sums.Lookup(FuncKey(callee))
+			cs := pass.Summaries.Lookup(FuncKey(callee))
 			if cs == nil {
 				return true
 			}

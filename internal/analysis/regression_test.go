@@ -3,7 +3,6 @@ package analysis_test
 import (
 	"io/fs"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,7 +10,8 @@ import (
 
 // TestSeededRegressions proves the interprocedural analyzers catch the two
 // real bug classes they were built for, by re-introducing each into a copy
-// of this module and asserting the lint run fails with the right finding:
+// of this module and asserting the suite, run in-process over the copy,
+// reports the right finding:
 //
 //   - persistguard: the shadow-paging flush raise (the PR 9 bug class) is
 //     deleted, so the slot-reuse write destroys older generations' images
@@ -19,16 +19,6 @@ import (
 //   - errflow: the Sync-error check in Storage.Snapshot becomes a bare
 //     call, silently dropping a durability-critical error.
 func TestSeededRegressions(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the lint binary and lints a module copy")
-	}
-	bin := filepath.Join(t.TempDir(), "thynvm-lint")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/thynvm-lint")
-	build.Dir = "../.."
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building thynvm-lint: %v\n%s", err, out)
-	}
-
 	dir := t.TempDir()
 	copyModule(t, "../..", dir)
 
@@ -39,14 +29,7 @@ func TestSeededRegressions(t *testing.T) {
 		"if err := s.Sync(); err != nil {\n\t\treturn err\n\t}",
 		"s.Sync()")
 
-	lint := exec.Command(bin, "./...")
-	lint.Dir = dir
-	out, err := lint.CombinedOutput()
-	exit, ok := err.(*exec.ExitError)
-	if !ok || exit.ExitCode() != 1 {
-		t.Fatalf("thynvm-lint on the seeded module: want exit 1, got %v\n%s", err, out)
-	}
-	text := string(out)
+	text, _ := lint(t, dir)
 	if !strings.Contains(text, "(persistguard)") ||
 		!strings.Contains(text, "flush reuses the uncommitted shadow slot") {
 		t.Errorf("deleted shadow flush raise not caught by persistguard:\n%s", text)

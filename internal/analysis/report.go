@@ -5,6 +5,8 @@ import (
 	"go/token"
 	"sort"
 	"strings"
+
+	"thynvm/internal/analysis/load"
 )
 
 // This file implements the escape-hatch audit behind `thynvm-lint -report`:
@@ -49,25 +51,9 @@ type auditKey struct {
 	name string
 }
 
-// NewDirectiveAudit returns an empty audit ready to attach to passes.
-func NewDirectiveAudit() *DirectiveAudit {
-	return &DirectiveAudit{hits: make(map[auditKey]int)}
-}
-
 // hit records one suppression by the directive named name at file:line.
 func (a *DirectiveAudit) hit(file string, line int, name string) {
-	if a == nil {
-		return
-	}
 	a.hits[auditKey{file, line, name}]++
-}
-
-// Hits reports how many findings the directive at file:line suppressed.
-func (a *DirectiveAudit) Hits(file string, line int, name string) int {
-	if a == nil {
-		return 0
-	}
-	return a.hits[auditKey{file, line, name}]
 }
 
 // A Report is the result of auditing every directive in the loaded tree.
@@ -92,24 +78,24 @@ type ReportProblem struct {
 // OK reports whether the audit found no problems.
 func (r *Report) OK() bool { return len(r.Problems) == 0 }
 
-// BuildReport scans every //thynvm: directive in units and cross-checks the
+// BuildReport scans every //thynvm: directive in pkgs and cross-checks the
 // allow-* ones against the suppressions recorded in audit. Run it only
 // after every analyzer has completed over the same tree — staleness is
 // judged against audit's contents.
-func BuildReport(units []SummaryUnit, audit *DirectiveAudit) *Report {
+func BuildReport(pkgs []*load.Package, audit *DirectiveAudit) *Report {
 	r := &Report{Counts: make(map[string]int)}
-	for _, k := range sortedAuditKeys(audit) {
-		r.Suppressions += audit.hits[k]
+	for _, n := range audit.hits {
+		r.Suppressions += n
 	}
-	for _, u := range units {
-		for _, file := range u.Files {
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
 			for _, group := range file.Comments {
 				for _, c := range group.List {
 					d, ok := parseDirective(c.Text)
 					if !ok {
 						continue
 					}
-					pos := u.Fset.Position(c.Pos())
+					pos := pkg.Fset.Position(c.Pos())
 					r.Counts[d.name]++
 					needsReason, isMarker := markerDirectives[d.name]
 					switch {
@@ -117,7 +103,7 @@ func BuildReport(units []SummaryUnit, audit *DirectiveAudit) *Report {
 						if d.reason == "" {
 							r.problem(pos, "missing-reason",
 								"//thynvm:%s has no reason; a reason is required for the directive to suppress anything", d.name)
-						} else if audit.Hits(pos.Filename, pos.Line, d.name) == 0 {
+						} else if audit.hits[auditKey{pos.Filename, pos.Line, d.name}] == 0 {
 							r.problem(pos, "stale",
 								"//thynvm:%s (%s) no longer suppresses any finding; delete it", d.name, d.reason)
 						}
@@ -168,24 +154,4 @@ func (r *Report) Format() string {
 		fmt.Fprintf(&b, "  %s: %s: %s\n", p.Pos, p.Kind, p.Message)
 	}
 	return b.String()
-}
-
-func sortedAuditKeys(a *DirectiveAudit) []auditKey {
-	if a == nil {
-		return nil
-	}
-	keys := make([]auditKey, 0, len(a.hits))
-	for k := range a.hits {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].file != keys[j].file {
-			return keys[i].file < keys[j].file
-		}
-		if keys[i].line != keys[j].line {
-			return keys[i].line < keys[j].line
-		}
-		return keys[i].name < keys[j].name
-	})
-	return keys
 }

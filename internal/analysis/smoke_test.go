@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,53 +13,49 @@ import (
 )
 
 // TestTreeIsClean is the suite's core guarantee, run in-process: every
-// package of this module passes all eight analyzers, sharing one
-// module-wide summary table the way cmd/thynvm-lint does. Any regression —
-// a map range sneaking into internal/core, an allocation eroding a
-// //thynvm:hotpath function's transitive call tree, a guard raise deleted
-// before a generation-destroying write — fails `go test` before it can
-// reach CI's lint step. The directive audit runs too: a stale allow-*
-// escape hatch anywhere in the tree is a failure.
+// package of this module passes all eight analyzers in one analysis.Run,
+// the way cmd/thynvm-lint runs them. Any regression — a map range sneaking
+// into internal/core, an allocation eroding a //thynvm:hotpath function's
+// transitive call tree, a guard raise deleted before a
+// generation-destroying write — fails `go test` before it can reach CI's
+// lint step. The directive audit runs too: a stale allow-* escape hatch
+// anywhere in the tree is a failure.
 func TestTreeIsClean(t *testing.T) {
-	pkgs, err := load.Packages("../..", "./...")
+	findings, report := lint(t, "../..")
+	if findings != "" {
+		t.Errorf("findings on the clean tree:\n%s", findings)
+	}
+	for _, p := range report.Problems {
+		t.Errorf("directive audit: %s: %s: %s", p.Pos, p.Kind, p.Message)
+	}
+}
+
+// lint runs the whole suite in-process over the module at dir and returns
+// its type errors and findings, one a line as cmd/thynvm-lint prints them,
+// and the directive report.
+func lint(t *testing.T, dir string) (string, *analysis.Report) {
+	t.Helper()
+	pkgs, err := load.Packages(dir, "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pkgs) < 15 {
 		t.Fatalf("loaded only %d packages; loader is missing the module", len(pkgs))
 	}
-	units := make([]analysis.SummaryUnit, len(pkgs))
-	for i, pkg := range pkgs {
-		units[i] = analysis.SummaryUnit{Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info}
+	diags, report, err := analysis.Run(pkgs, analysis.All)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sums := analysis.ComputeSummaries(units)
-	audit := analysis.NewDirectiveAudit()
+	var b strings.Builder
 	for _, pkg := range pkgs {
 		for _, terr := range pkg.TypeErrors {
-			t.Errorf("%s: type error: %v", pkg.ImportPath, terr)
-		}
-		for _, a := range analysis.All {
-			pass := &analysis.Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Files,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.Info,
-				Summaries: sums,
-				Audit:     audit,
-				Report: func(d analysis.Diagnostic) {
-					t.Errorf("%s: %s (%s)", pkg.Fset.Position(d.Pos), d.Message, a.Name)
-				},
-			}
-			if err := a.Run(pass); err != nil {
-				t.Errorf("%s: %s: %v", pkg.ImportPath, a.Name, err)
-			}
+			fmt.Fprintf(&b, "%s: type error: %v\n", pkg.ImportPath, terr)
 		}
 	}
-	report := analysis.BuildReport(units, audit)
-	for _, p := range report.Problems {
-		t.Errorf("directive audit: %s: %s: %s", p.Pos, p.Kind, p.Message)
+	for _, d := range diags {
+		fmt.Fprintf(&b, "%s: %s (%s)\n", pkgs[0].Fset.Position(d.Pos), d.Message, d.Analyzer)
 	}
+	return b.String(), report
 }
 
 // TestLintCLI builds cmd/thynvm-lint and checks its exit-status contract

@@ -7,6 +7,8 @@ import (
 	"go/types"
 	"sort"
 	"strings"
+
+	"thynvm/internal/analysis/load"
 )
 
 // Per-function summaries: the interprocedural backbone of the suite
@@ -73,40 +75,15 @@ type FuncSummary struct {
 	Calls []string
 }
 
-// Summaries is a module-wide (or, for fixtures, package-wide) summary table
-// keyed by FuncKey.
+// Summaries is the summary table of one run (the whole module for the CLI,
+// one package for a fixture), keyed by FuncKey.
 type Summaries struct {
 	m map[string]*FuncSummary
 }
 
-// Lookup returns the summary for key, or nil. A nil *Summaries is an empty
-// table.
+// Lookup returns the summary for key, or nil.
 func (s *Summaries) Lookup(key string) *FuncSummary {
-	if s == nil {
-		return nil
-	}
 	return s.m[key]
-}
-
-// Len reports the number of summarized functions.
-func (s *Summaries) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.m)
-}
-
-// Keys returns all summary keys in sorted order.
-func (s *Summaries) Keys() []string {
-	if s == nil {
-		return nil
-	}
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // FuncKey returns the stable summary key for a function or method: the
@@ -126,34 +103,25 @@ func declKey(info *types.Info, fn *ast.FuncDecl) string {
 	return FuncKey(obj)
 }
 
-// A SummaryUnit is one type-checked package's material for summary
-// building, mirroring the Pass fields so any driver can supply it.
-type SummaryUnit struct {
-	Fset  *token.FileSet
-	Files []*ast.File
-	Pkg   *types.Package
-	Info  *types.Info
-}
-
-// ComputeSummaries builds the summary table for units, resolving call edges
+// ComputeSummaries builds the summary table for pkgs, resolving call edges
 // between the functions being summarized (the whole module for the CLI, one
 // package for a fixture). Facts propagate bottom-up over SCCs of the call
 // graph.
-func ComputeSummaries(units []SummaryUnit) *Summaries {
+func ComputeSummaries(pkgs []*load.Package) *Summaries {
 	sums := make(map[string]*FuncSummary)
-	for _, u := range units {
-		for _, file := range u.Files {
-			dirs := directiveLines(u.Fset, file)
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			dirs := directiveLines(pkg.Fset, file)
 			for _, decl := range file.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
 				if !ok || fn.Body == nil {
 					continue
 				}
-				key := declKey(u.Info, fn)
+				key := declKey(pkg.Info, fn)
 				if key == "" {
 					continue
 				}
-				sums[key] = summarizeFunc(u, dirs, fn)
+				sums[key] = summarizeFunc(pkg, dirs, fn)
 			}
 		}
 	}
@@ -162,7 +130,7 @@ func ComputeSummaries(units []SummaryUnit) *Summaries {
 }
 
 // summarizeFunc computes one function's direct facts and call edges.
-func summarizeFunc(u SummaryUnit, dirs map[int][]directive, fn *ast.FuncDecl) *FuncSummary {
+func summarizeFunc(pkg *load.Package, dirs map[int][]directive, fn *ast.FuncDecl) *FuncSummary {
 	s := &FuncSummary{HotPath: HotPath(fn)}
 	if _, ok := docDirective(fn, "guard-raise"); ok {
 		s.GuardRaiser = true
@@ -172,16 +140,16 @@ func summarizeFunc(u SummaryUnit, dirs map[int][]directive, fn *ast.FuncDecl) *F
 		s.DestroysGen = true
 		s.DestroysWhat = d.reason
 	}
-	if sig, ok := u.Info.Defs[fn.Name].Type().(*types.Signature); ok {
+	if sig, ok := pkg.Info.Defs[fn.Name].Type().(*types.Signature); ok {
 		s.HasErrorResult = sigReturnsError(sig)
 	}
 
 	// Direct allocation witness, honoring //thynvm:allow-alloc exactly the
 	// way hotalloc does (a sanctioned amortized allocation is not an
 	// allocation for propagation purposes either).
-	allocInspect(u.Info, fn.Body, receiverRooted(fn), func(pos token.Pos, what string) {
-		if line, ok := allowedAt(dirs, u.Fset, pos, "allow-alloc"); ok {
-			k := auditKey{u.Fset.Position(pos).Filename, line, "allow-alloc"}
+	allocInspect(pkg.Info, fn.Body, receiverRooted(fn), func(pos token.Pos, what string) {
+		if line, ok := allowedAt(dirs, pkg.Fset, pos, "allow-alloc"); ok {
+			k := auditKey{pkg.Fset.Position(pos).Filename, line, "allow-alloc"}
 			if n := len(s.allowedAllocs); n == 0 || s.allowedAllocs[n-1] != k {
 				s.allowedAllocs = append(s.allowedAllocs, k)
 			}
@@ -192,7 +160,7 @@ func summarizeFunc(u SummaryUnit, dirs map[int][]directive, fn *ast.FuncDecl) *F
 		}
 		s.Allocates = true
 		s.AllocWhat = what
-		s.AllocPos = u.Fset.Position(pos).String()
+		s.AllocPos = pkg.Fset.Position(pos).String()
 	})
 
 	// Call edges and direct durability facts.
@@ -202,16 +170,16 @@ func summarizeFunc(u SummaryUnit, dirs map[int][]directive, fn *ast.FuncDecl) *F
 		if !ok {
 			return true
 		}
-		cfn := funcObj(u.Info, call)
+		cfn := funcObj(pkg.Info, call)
 		if cfn == nil || cfn.Pkg() == nil {
 			return true
 		}
 		if InModule(cfn.Pkg().Path()) {
 			callSet[FuncKey(cfn)] = true
 		}
-		if _, ok := durablePrimitive(u.Info, u.Pkg.Path(), call); ok {
+		if _, ok := durablePrimitive(pkg.Info, pkg.Types.Path(), call); ok {
 			s.TouchesDurable = true
-			if _, allowed := allowedAt(dirs, u.Fset, call.Pos(), "allow-errdrop"); s.HasErrorResult && !allowed {
+			if _, allowed := allowedAt(dirs, pkg.Fset, call.Pos(), "allow-errdrop"); s.HasErrorResult && !allowed {
 				s.ReturnsDurableErr = true
 			}
 		}
@@ -398,9 +366,6 @@ func propagate(sums map[string]*FuncSummary) {
 // callee whose summary is allocation-free: those directives are what keep
 // it so, and the call's finding is the one they suppress.
 func (s *Summaries) creditAllowedAllocs(key string, audit *DirectiveAudit) {
-	if audit == nil {
-		return
-	}
 	seen := map[string]bool{key: true}
 	for stack := []string{key}; len(stack) > 0; {
 		fs := s.Lookup(stack[len(stack)-1])

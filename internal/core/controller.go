@@ -31,17 +31,12 @@ type Controller struct {
 
 	// NVM hardware-address-space allocation beyond the Home region: the
 	// commit metadata page (K header slots and the generation-safety guard,
-	// see meta), then bump-allocated checkpoint slots and table-blob areas,
-	// with free lists for recycled slots.
-	nvmBumpStart   uint64
-	nvmBump        uint64
-	freeBlockSlots []uint64
-	freePageSlots  []uint64
-
-	// DRAM Working Data Region allocation.
-	dramBump           uint64
-	freeDramBlockSlots []uint64
-	freeDramPageSlots  []uint64
+	// see meta), then bump-allocated checkpoint slots and table-blob areas.
+	nvmBumpStart          uint64
+	nvmBump               uint64
+	nvmBlocks, nvmPages   slotPool // over nvmBump
+	dramBump              uint64   // DRAM Working Data Region allocation
+	dramBlocks, dramPages slotPool // over dramBump
 
 	seq uint64 // sequence number of the next checkpoint commit
 
@@ -111,6 +106,10 @@ func New(cfg Config) (*Controller, error) {
 	}
 	c.nvmBumpStart = c.meta.DataStart()
 	c.nvmBump = c.nvmBumpStart
+	c.nvmBlocks = slotPool{size: mem.BlockSize, bump: &c.nvmBump}
+	c.nvmPages = slotPool{size: mem.PageSize, bump: &c.nvmBump}
+	c.dramBlocks = slotPool{size: mem.BlockSize, bump: &c.dramBump}
+	c.dramPages = slotPool{size: mem.PageSize, bump: &c.dramBump}
 	return c, nil
 }
 
@@ -134,54 +133,32 @@ func (c *Controller) LoadHome(addr uint64, data []byte) {
 
 // ---- hardware address space allocation ----
 
-func alignUp(v, a uint64) uint64 { return (v + a - 1) &^ (a - 1) }
+// A slotPool hands out fixed-size slots of one region: the most recently
+// freed slot first, else the next slot past the region's bump pointer,
+// aligned to the slot size. A region's block and page pools share its bump
+// pointer.
+type slotPool struct {
+	size uint64
+	bump *uint64
+	free []uint64
+}
 
-func (c *Controller) allocNVMBlockSlot() uint64 {
-	if n := len(c.freeBlockSlots); n > 0 {
-		s := c.freeBlockSlots[n-1]
-		c.freeBlockSlots = c.freeBlockSlots[:n-1]
+func (p *slotPool) alloc() uint64 {
+	if n := len(p.free); n > 0 {
+		s := p.free[n-1]
+		p.free = p.free[:n-1]
 		return s
 	}
-	c.nvmBump = alignUp(c.nvmBump, mem.BlockSize)
-	s := c.nvmBump
-	c.nvmBump += mem.BlockSize
+	s := (*p.bump + p.size - 1) &^ (p.size - 1)
+	*p.bump = s + p.size
 	return s
 }
 
-func (c *Controller) allocNVMPageSlot() uint64 {
-	if n := len(c.freePageSlots); n > 0 {
-		s := c.freePageSlots[n-1]
-		c.freePageSlots = c.freePageSlots[:n-1]
-		return s
+// release returns slot s to the pool; 0 means no slot.
+func (p *slotPool) release(s uint64) {
+	if s != 0 {
+		p.free = append(p.free, s)
 	}
-	c.nvmBump = alignUp(c.nvmBump, mem.PageSize)
-	s := c.nvmBump
-	c.nvmBump += mem.PageSize
-	return s
-}
-
-func (c *Controller) allocDRAMBlockSlot() uint64 {
-	if n := len(c.freeDramBlockSlots); n > 0 {
-		s := c.freeDramBlockSlots[n-1]
-		c.freeDramBlockSlots = c.freeDramBlockSlots[:n-1]
-		return s
-	}
-	c.dramBump = alignUp(c.dramBump, mem.BlockSize)
-	s := c.dramBump
-	c.dramBump += mem.BlockSize
-	return s
-}
-
-func (c *Controller) allocDRAMPageSlot() uint64 {
-	if n := len(c.freeDramPageSlots); n > 0 {
-		s := c.freeDramPageSlots[n-1]
-		c.freeDramPageSlots = c.freeDramPageSlots[:n-1]
-		return s
-	}
-	c.dramBump = alignUp(c.dramBump, mem.PageSize)
-	s := c.dramBump
-	c.dramBump += mem.PageSize
-	return s
 }
 
 // ---- entry management ----
@@ -190,7 +167,7 @@ func (c *Controller) allocBlockEntry(blockIdx uint64) *blockEntry {
 	e := &blockEntry{
 		phys:      blockIdx,
 		homeAddr:  blockIdx * mem.BlockSize,
-		altAddr:   c.allocNVMBlockSlot(),
+		altAddr:   c.nvmBlocks.alloc(),
 		clastAddr: blockIdx * mem.BlockSize,
 	}
 	c.blocks.Set(blockIdx, e)
@@ -228,9 +205,9 @@ func (c *Controller) allocPageEntry(pageIdx uint64) *pageEntry {
 	e := &pageEntry{
 		phys:      pageIdx,
 		homeAddr:  pageIdx * mem.PageSize,
-		altAddr:   c.allocNVMPageSlot(),
-		altAddr2:  c.allocNVMPageSlot(),
-		dramAddr:  c.allocDRAMPageSlot(),
+		altAddr:   c.nvmPages.alloc(),
+		altAddr2:  c.nvmPages.alloc(),
+		dramAddr:  c.dramPages.alloc(),
 		clastAddr: pageIdx * mem.PageSize,
 	}
 	c.pages.Set(pageIdx, e)
@@ -253,25 +230,15 @@ func (c *Controller) allocPageEntry(pageIdx uint64) *pageEntry {
 
 func (c *Controller) freeBlockEntry(e *blockEntry) {
 	c.blocks.Delete(e.phys)
-	if e.altAddr != 0 {
-		c.freeBlockSlots = append(c.freeBlockSlots, e.altAddr)
-	}
-	if e.bufAddr != 0 {
-		c.freeDramBlockSlots = append(c.freeDramBlockSlots, e.bufAddr)
-	}
+	c.nvmBlocks.release(e.altAddr)
+	c.dramBlocks.release(e.bufAddr)
 }
 
 func (c *Controller) freePageEntry(e *pageEntry) {
 	c.pages.Delete(e.phys)
-	if e.altAddr != 0 {
-		c.freePageSlots = append(c.freePageSlots, e.altAddr)
-	}
-	if e.altAddr2 != 0 {
-		c.freePageSlots = append(c.freePageSlots, e.altAddr2)
-	}
-	if e.dramAddr != 0 {
-		c.freeDramPageSlots = append(c.freeDramPageSlots, e.dramAddr)
-	}
+	c.nvmPages.release(e.altAddr)
+	c.nvmPages.release(e.altAddr2)
+	c.dramPages.release(e.dramAddr)
 }
 
 // lookupLatency charges the BTT/PTT lookup. Once the tables spill past
@@ -462,7 +429,7 @@ func (c *Controller) writeViaBlock(now mem.Cycle, addr uint64, data []byte) mem.
 		be.hasCkpt = false
 		be.clastAddr = be.homeAddr
 		if be.altAddr == 0 {
-			be.altAddr = c.allocNVMBlockSlot()
+			be.altAddr = c.nvmBlocks.alloc()
 		}
 	}
 	be.consolidateDone = 0 // a store cancels any pending Home consolidation
@@ -518,7 +485,7 @@ func (c *Controller) writeViaBlock(now mem.Cycle, addr uint64, data []byte) mem.
 		// working copy goes to the DRAM Working Data Region instead
 		// (§4.1) — or, in uniform block-writeback mode, always.
 		if be.bufAddr == 0 {
-			be.bufAddr = c.allocDRAMBlockSlot()
+			be.bufAddr = c.dramBlocks.alloc()
 		}
 		be.active = activeDRAM
 		if c.cfg.Mode != ModeBlockWriteback {

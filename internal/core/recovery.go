@@ -132,10 +132,10 @@ func (c *Controller) Crash(at mem.Cycle) {
 	c.dram.Crash(at)
 	c.blocks.Reset()
 	c.pages.Reset()
-	c.freeBlockSlots = nil
-	c.freePageSlots = nil
-	c.freeDramBlockSlots = nil
-	c.freeDramPageSlots = nil
+	c.nvmBlocks.free = nil
+	c.nvmPages.free = nil
+	c.dramBlocks.free = nil
+	c.dramPages.free = nil
 	c.dramBump = 0
 	c.pageStores.Reset()
 	c.lastPageStores = nil

@@ -63,6 +63,9 @@ func OpenHashTable(m Memory, arena *alloc.Arena, headerAddr uint64) (*HashTable,
 		return nil, fmt.Errorf("kv: no hash table at %#x (magic %#x)", headerAddr, got)
 	}
 	nb := io.readU64(headerAddr + 8)
+	if nb == 0 {
+		return nil, fmt.Errorf("kv: hash table at %#x has no buckets", headerAddr)
+	}
 	bucket := io.readU64(headerAddr + 24)
 	return &HashTable{io: io, arena: arena, head: headerAddr, nb: nb, bucket: bucket}, nil
 }

@@ -236,6 +236,12 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	if _, err := OpenRBTree(m, a, headerAddr); err == nil {
 		t.Error("opened rbtree over garbage")
 	}
+	// A valid magic over a zero bucket count would divide by zero on the
+	// first operation.
+	memIO{m, new([8]byte)}.writeU64(headerAddr, htMagic)
+	if _, err := OpenHashTable(m, a, headerAddr); err == nil {
+		t.Error("opened hash table with zero buckets")
+	}
 }
 
 func TestRunMix(t *testing.T) {

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"thynvm/internal/analysis/load"
 )
 
 // TestSeededRegressions proves the interprocedural analyzers catch the two
@@ -29,7 +31,14 @@ func TestSeededRegressions(t *testing.T) {
 		"if err := s.Sync(); err != nil {\n\t\treturn err\n\t}",
 		"s.Sync()")
 
-	text, _ := lint(t, dir)
+	tree, err := load.Packages("../..", "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _, n := lint(t, dir)
+	if n != len(tree) {
+		t.Errorf("the copy loads %d packages, the tree %d: copyModule copied a directory outside the module", n, len(tree))
+	}
 	if !strings.Contains(text, "(persistguard)") ||
 		!strings.Contains(text, "flush reuses the uncommitted shadow slot") {
 		t.Errorf("deleted shadow flush raise not caught by persistguard:\n%s", text)
@@ -41,7 +50,9 @@ func TestSeededRegressions(t *testing.T) {
 }
 
 // copyModule copies the module's Go sources (go.mod plus every non-test
-// .go file outside testdata and .git) into dst, preserving layout.
+// .go file outside testdata, .git and nested modules) into dst, preserving
+// layout. A subdirectory with its own go.mod is another module: copied
+// without that go.mod, it would join this one.
 func copyModule(t *testing.T, src, dst string) {
 	t.Helper()
 	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
@@ -55,6 +66,9 @@ func copyModule(t *testing.T, src, dst string) {
 		if d.IsDir() {
 			switch d.Name() {
 			case ".git", "testdata":
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil && rel != "." {
 				return filepath.SkipDir
 			}
 			return nil

@@ -21,7 +21,7 @@ import (
 // lint step. The directive audit runs too: a stale allow-* escape hatch
 // anywhere in the tree is a failure.
 func TestTreeIsClean(t *testing.T) {
-	findings, report := lint(t, "../..")
+	findings, report, _ := lint(t, "../..")
 	if findings != "" {
 		t.Errorf("findings on the clean tree:\n%s", findings)
 	}
@@ -32,8 +32,8 @@ func TestTreeIsClean(t *testing.T) {
 
 // lint runs the whole suite in-process over the module at dir and returns
 // its type errors and findings, one a line as cmd/thynvm-lint prints them,
-// and the directive report.
-func lint(t *testing.T, dir string) (string, *analysis.Report) {
+// the directive report and the number of packages loaded.
+func lint(t *testing.T, dir string) (string, *analysis.Report, int) {
 	t.Helper()
 	pkgs, err := load.Packages(dir, "./...")
 	if err != nil {
@@ -55,7 +55,7 @@ func lint(t *testing.T, dir string) (string, *analysis.Report) {
 	for _, d := range diags {
 		fmt.Fprintf(&b, "%s: %s (%s)\n", pkgs[0].Fset.Position(d.Pos), d.Message, d.Analyzer)
 	}
-	return b.String(), report
+	return b.String(), report, len(pkgs)
 }
 
 // TestLintCLI builds cmd/thynvm-lint and checks its exit-status contract

@@ -158,7 +158,8 @@ func (s *Ideal) Recover() ([]byte, mem.Cycle, error) {
 	return s.cpuState, 0, nil
 }
 
-// PeekBlock implements ctl.Controller.
+// PeekBlock implements ctl.Controller: the device reads the whole span at
+// once, replaying the writes still posted over it in posting order.
 func (s *Ideal) PeekBlock(addr uint64, buf []byte) { s.Dev.Peek(addr, buf) }
 
 // Stats implements ctl.Controller.

@@ -316,13 +316,16 @@ func decodeJournal(blob []byte, meta *commit.Meta) ([]byte, []commit.Copy, error
 	return cpu, copies, nil
 }
 
-// PeekBlock implements ctl.Controller.
+// PeekBlock implements ctl.Controller, block by block.
 func (j *Journal) PeekBlock(addr uint64, buf []byte) {
-	if slot, ok := j.dirty.Get(mem.BlockIndex(addr)); ok {
-		j.dram.Peek(slot, buf)
-		return
+	for ; len(buf) > 0; addr, buf = addr+mem.BlockSize, buf[mem.BlockSize:] {
+		blk := buf[:mem.BlockSize]
+		if slot, ok := j.dirty.Get(mem.BlockIndex(addr)); ok {
+			j.dram.Peek(slot, blk)
+		} else {
+			j.nvm.Peek(addr, blk)
+		}
 	}
-	j.nvm.Peek(addr, buf)
 }
 
 // Stats implements ctl.Controller.

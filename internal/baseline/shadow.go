@@ -430,8 +430,15 @@ func decodeShadow(blob []byte, meta *commit.Meta) ([]byte, []commit.Copy, error)
 	return cpu, copies, nil
 }
 
-// PeekBlock implements ctl.Controller.
+// PeekBlock implements ctl.Controller, block by block.
 func (s *Shadow) PeekBlock(addr uint64, buf []byte) {
+	for ; len(buf) > 0; addr, buf = addr+mem.BlockSize, buf[mem.BlockSize:] {
+		s.peekBlock(addr, buf[:mem.BlockSize])
+	}
+}
+
+// peekBlock is PeekBlock for the one block at addr.
+func (s *Shadow) peekBlock(addr uint64, buf []byte) {
 	pageIdx := mem.PageIndex(addr)
 	off := addr % mem.PageSize
 	if p, ok := s.pages.Get(pageIdx); ok {

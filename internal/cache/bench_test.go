@@ -102,3 +102,39 @@ func BenchmarkInvalidateAll(b *testing.B) {
 		h.InvalidateAll()
 	}
 }
+
+// BenchmarkCrashReuse measures one short-lived system's cache life, as a
+// torture schedule lives it: build a hierarchy from released levels, write
+// a 64 KiB footprint, crash (InvalidateAll), release. The paper's hierarchy
+// and one with a 16 MiB L3 must cost about the same: building and crashing
+// cost what the footprint touched, not what the levels could hold.
+func BenchmarkCrashReuse(b *testing.B) {
+	l3Big := LevelSpec{Name: "L3", SizeB: 16 << 20, Ways: 16, HitLat: 28}
+	for _, bc := range []struct {
+		name  string
+		specs []LevelSpec
+	}{
+		{"paper", []LevelSpec{L1Spec(), L2Spec(), L3Spec()}},
+		{"l3-16MiB", []LevelSpec{L1Spec(), L2Spec(), l3Big}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			back := newFlatBackend()
+			var buf [mem.BlockSize]byte
+			life := func() {
+				h := NewHierarchy(back, bc.specs...)
+				now := mem.Cycle(0)
+				for a := uint64(0); a < 64<<10; a += mem.BlockSize {
+					now = h.Write(now, a, buf[:])
+				}
+				h.InvalidateAll()
+				h.Release()
+			}
+			life() // the levels every iteration reuses
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				life()
+			}
+		})
+	}
+}

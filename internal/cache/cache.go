@@ -17,6 +17,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"thynvm/internal/mem"
 	"thynvm/internal/obs"
@@ -62,9 +63,11 @@ const linesPerPage = 64
 // page holds the data of linesPerPage lines.
 type page [linesPerPage][mem.BlockSize]byte
 
-// level is one set-associative cache. Its tags and dirty bitmap are flat
-// arrays indexed by line = set*ways+way; line data lives in pages that are
+// level is one set-associative cache. Its tags and bitmaps are flat arrays
+// indexed by line = set*ways+way; line data lives in pages that are
 // allocated as lines are first installed, so a level costs what it holds.
+// A level outlives its hierarchy: Release hands it to levelPools, and the
+// next hierarchy built with the same spec takes it back.
 type level struct {
 	spec    LevelSpec
 	setMask uint64   // sets-1; the set count is a power of two
@@ -72,6 +75,10 @@ type level struct {
 	wayMask uint64   // ways-1
 	tags    []uint64 // block+1 per line; 0 marks an invalid line
 	dirty   []uint64 // dirty bitmap, bit i%64 of word i/64 for line i
+	// installed marks, in dirty's layout, the lines that have a data row:
+	// only they can hold a tag or a dirty bit, so InvalidateAll clears
+	// just those.
+	installed []uint64
 	// order[s] lists set s's ways in recency order, 4 bits per way: nibble
 	// k is the way of recency rank k, the low nibble the most recently
 	// used. The ways are a permutation of the low nibbles from the start.
@@ -91,20 +98,55 @@ const freshOrder = 0xFEDCBA9876543210
 // newLevel builds an empty level; NewHierarchy has checked its geometry.
 func newLevel(spec LevelSpec, nsets int) *level {
 	lines := nsets * spec.Ways
+	words := (lines + 63) / 64
+	bitmaps := make([]uint64, 2*words) // dirty, then installed
 	l := &level{spec: spec,
-		setMask: uint64(nsets - 1),
-		wayBits: uint(bits.TrailingZeros(uint(spec.Ways))),
-		wayMask: uint64(spec.Ways - 1),
-		tags:    make([]uint64, lines),
-		dirty:   make([]uint64, (lines+63)/64),
-		order:   make([]uint64, nsets),
-		slot:    make([]uint32, lines),
-		pages:   make([]*page, 0, (lines+linesPerPage-1)/linesPerPage),
+		setMask:   uint64(nsets - 1),
+		wayBits:   uint(bits.TrailingZeros(uint(spec.Ways))),
+		wayMask:   uint64(spec.Ways - 1),
+		tags:      make([]uint64, lines),
+		dirty:     bitmaps[:words:words],
+		installed: bitmaps[words:],
+		order:     make([]uint64, nsets),
+		slot:      make([]uint32, lines),
+		pages:     make([]*page, 0, (lines+linesPerPage-1)/linesPerPage),
 	}
 	for s := range l.order {
 		l.order[s] = freshOrder
 	}
 	return l
+}
+
+// levelPools holds released levels for reuse, one *sync.Pool per LevelSpec.
+// Whole levels change hands between hierarchies and none is ever shared,
+// and a reused level is observably fresh (see Release), so no output
+// depends on which goroutine released it.
+//
+//thynvm:allow-concurrency a pool of released levels; each level moves whole to one hierarchy at a time
+var levelPools sync.Map
+
+// takeLevel returns a released level built to spec, or nil.
+func takeLevel(spec LevelSpec) *level {
+	//thynvm:allow-concurrency looks up the pool of released levels (see levelPools)
+	p, ok := levelPools.Load(spec)
+	if !ok {
+		return nil
+	}
+	//thynvm:allow-concurrency takes a whole released level for one new hierarchy (see levelPools)
+	l, _ := p.(*sync.Pool).Get().(*level)
+	return l
+}
+
+// putLevel hands a released level to the pool of its spec.
+func putLevel(l *level) {
+	//thynvm:allow-concurrency looks up the pool of released levels (see levelPools)
+	p, ok := levelPools.Load(l.spec)
+	if !ok {
+		//thynvm:allow-concurrency creates a spec's pool on its first release (see levelPools)
+		p, _ = levelPools.LoadOrStore(l.spec, new(sync.Pool))
+	}
+	//thynvm:allow-concurrency returns a whole level no hierarchy holds any more (see levelPools)
+	p.(*sync.Pool).Put(l)
 }
 
 // isDirty reports line i's dirty bit.
@@ -184,7 +226,8 @@ type Hierarchy struct {
 
 // NewHierarchy builds a hierarchy with the given level specs (outermost
 // last) on top of back. With no specs the hierarchy is a transparent
-// pass-through to the backend.
+// pass-through to the backend. A level of the same spec that an earlier
+// hierarchy released is reused before a new one is built.
 func NewHierarchy(back Backend, specs ...LevelSpec) *Hierarchy {
 	h := &Hierarchy{back: back, levels: make([]*level, 0, len(specs))}
 	for _, s := range specs {
@@ -199,7 +242,11 @@ func NewHierarchy(back Backend, specs ...LevelSpec) *Hierarchy {
 			nsets <= 0 || nsets&(nsets-1) != 0 || s.SizeB != nsets*s.Ways*mem.BlockSize {
 			panic(fmt.Sprintf("cache: invalid level spec %+v", s))
 		}
-		h.levels = append(h.levels, newLevel(s, nsets))
+		l := takeLevel(s)
+		if l == nil {
+			l = newLevel(s, nsets)
+		}
+		h.levels = append(h.levels, l)
 	}
 	return h
 }
@@ -304,6 +351,7 @@ func (h *Hierarchy) install(now mem.Cycle, li int, block uint64, data []byte) in
 		}
 		l.rows++
 		l.slot[v] = l.rows
+		l.installed[uint(v)/64] |= 1 << (uint(v) % 64)
 	}
 	l.tags[v] = block + 1
 	l.touch(v)
@@ -459,13 +507,47 @@ func (h *Hierarchy) PeekOverlay(base uint64, buf []byte) {
 	}
 }
 
-// InvalidateAll drops all cached state (a crash: caches are volatile). Line
-// data rows and the recency words stay: an invalid line's data is never
-// read, and a set evicts only once every way has been reinstalled.
+// InvalidateAll drops all cached state (a crash: caches are volatile). It
+// clears the tags and dirty bits of the lines ever installed, which are the
+// only lines that can hold them. Line data rows and the recency words stay:
+// an invalid line's data is never read, and a set evicts only once every
+// way has been reinstalled.
 func (h *Hierarchy) InvalidateAll() {
 	for _, l := range h.levels {
-		clear(l.tags)
-		clear(l.dirty)
+		for wi, w := range l.installed {
+			if w == 0 {
+				continue
+			}
+			l.dirty[wi] = 0
+			if w == ^uint64(0) {
+				clear(l.tags[wi*64 : wi*64+64])
+				continue
+			}
+			for ; w != 0; w &= w - 1 {
+				l.tags[wi*64+bits.TrailingZeros64(w)] = 0
+			}
+		}
 	}
 	h.dirty = 0
+}
+
+// Release ends the hierarchy's life: it invalidates every level, zeroes
+// the levels' statistics and hands them to the pool NewHierarchy reuses
+// levels from. The hierarchy is left with no levels and no backend, so any
+// later access panics instead of passing through to the controller; a
+// second Release does nothing.
+//
+// A reused level is observably fresh. Its tags, dirty bits and statistics
+// are zero, and its recency words rank only touches made since the last
+// invalidate, which is all victim ever relies on (see victim). Its slots,
+// rows and pages are host-side: they decide where a line's bytes live,
+// never what they are, and keeping them means a reused level needs no
+// page-in.
+func (h *Hierarchy) Release() {
+	h.InvalidateAll()
+	for _, l := range h.levels {
+		l.stats = LevelStats{}
+		putLevel(l)
+	}
+	h.levels, h.back = nil, nil
 }

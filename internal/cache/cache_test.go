@@ -2,7 +2,9 @@ package cache
 
 import (
 	"bytes"
+	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -303,23 +305,33 @@ func TestFlushSyncsLowerLevelCopies(t *testing.T) {
 
 // TestHierarchyAllocs guards what a level costs: building the paper's
 // hierarchy takes a handful of allocations holding only tags, dirty bits,
-// recency words and data slots; driving it over a 64 KiB footprint pages in
-// line data for at most that footprint per level, however often a crash
-// invalidates it, since re-installs reuse their rows; and a crash's
-// invalidate and a checkpoint's flush take nothing.
+// recency words and data slots, and building it from released levels takes
+// next to nothing; driving it over a 64 KiB footprint pages in line data
+// for at most that footprint per level, however often a crash invalidates
+// it, since re-installs reuse their rows; and a crash's invalidate, a
+// checkpoint's flush and a release take nothing.
 func TestHierarchyAllocs(t *testing.T) {
 	b := newFlatBackend()
-	if n := testing.AllocsPerRun(10, func() { Default(b) }); n > 32 {
+	fresh := func() *Hierarchy {
+		// Fresh levels: nothing released for the paper's specs.
+		drainPools(L1Spec(), L2Spec(), L3Spec())
+		return Default(b)
+	}
+	if n := testing.AllocsPerRun(10, func() { fresh() }); n > 32 {
 		t.Errorf("Default allocates %.0f times, want <= 32", n)
 	}
-	built := bytesPerRun(10, func() { Default(b) })
+	built := bytesPerRun(10, func() { fresh() })
 	if built > 512<<10 {
 		t.Errorf("Default allocates %d bytes, want <= %d", built, 512<<10)
+	}
+	// Under the race detector the pool drops a random share of releases.
+	if n := bytesPerRun(10, func() { Default(b).Release() }); n > 64<<10 && !raceEnabled {
+		t.Errorf("Default from released levels allocates %d bytes, want <= %d", n, 64<<10)
 	}
 	var buf [mem.BlockSize]byte
 	now := mem.Cycle(0)
 	drive := func() {
-		h := Default(b)
+		h := fresh()
 		for pass := 0; pass < 4; pass++ {
 			for a := uint64(0); a < 64<<10; a += mem.BlockSize {
 				now = h.Write(now, a, buf[:])
@@ -341,6 +353,123 @@ func TestHierarchyAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(10, h.InvalidateAll); n != 0 {
 		t.Errorf("InvalidateAll allocates %.0f times, want 0", n)
+	}
+	h.Release()
+
+	// Release, measured alone on hierarchies built from released levels:
+	// the steady state of a system built and closed over and over.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var mallocs uint64
+	for i := 0; i < 10; i++ {
+		h := Default(b)
+		h.Write(0, 0, buf[:])
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.Release()
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+	}
+	if mallocs != 0 && !raceEnabled {
+		t.Errorf("10 Releases allocate %d times, want 0", mallocs)
+	}
+}
+
+// TestReleasedHierarchyPanics: a released hierarchy has no levels and no
+// backend, so an access panics instead of reaching the controller.
+func TestReleasedHierarchyPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		use  func(h *Hierarchy)
+	}{
+		{"read", func(h *Hierarchy) { h.Read(0, 0, make([]byte, 8)) }},
+		{"write", func(h *Hierarchy) { h.Write(0, 64, make([]byte, 8)) }},
+	} {
+		b := newFlatBackend()
+		h := Default(b)
+		h.Write(0, 0, []byte{1})
+		h.Release()
+		h.Release() // a second release does nothing
+		b.reads, b.writes = 0, 0
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a released hierarchy did not panic", tc.name)
+				}
+			}()
+			tc.use(h)
+		}()
+		if b.reads != 0 || b.writes != 0 {
+			t.Errorf("%s on a released hierarchy reached the backend (%d reads, %d writes)", tc.name, b.reads, b.writes)
+		}
+	}
+}
+
+// TestReleasedLevelsAcrossGoroutines: hierarchies built, driven and
+// released on several goroutines at once pass levels between goroutines
+// through the pool, and every one must still behave as a fresh one. Run
+// it with -race.
+func TestReleasedLevelsAcrossGoroutines(t *testing.T) {
+	builds := []func(Backend) *Hierarchy{tinyHierarchy, directHierarchy}
+	var want []string
+	for _, build := range builds {
+		want = append(want, pinnedDigest(build, 3_000, 3))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				var h *Hierarchy
+				k := (g + i) % len(builds)
+				got := pinnedDigest(func(b Backend) *Hierarchy { h = builds[k](b); return h }, 3_000, 3)
+				h.Release()
+				if got != want[k] {
+					t.Errorf("goroutine %d, life %d: digest %s, want %s", g, i, got, want[k])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestInvalidateAllClearsEveryTag: InvalidateAll clears only the lines ever
+// installed, so after a random fill, on fresh levels and on reused ones
+// whose installed lines span earlier hierarchies, no level may keep a tag
+// or a dirty bit.
+func TestInvalidateAllClearsEveryTag(t *testing.T) {
+	for _, build := range []func(Backend) *Hierarchy{Default, tinyHierarchy, directHierarchy} {
+		rng := rand.New(rand.NewSource(24))
+		for round := 0; round < 3; round++ {
+			h := build(newFlatBackend())
+			now := mem.Cycle(0)
+			for i := 0; i < 20_000; i++ {
+				addr := uint64(rng.Int63n(8<<20)) &^ (mem.BlockSize - 1)
+				if rng.Intn(2) == 0 {
+					now = h.Write(now, addr, []byte{byte(i)})
+				} else {
+					now = h.Read(now, addr, make([]byte, 1))
+				}
+			}
+			h.InvalidateAll()
+			for _, l := range h.levels {
+				for i, tag := range l.tags {
+					if tag != 0 {
+						t.Fatalf("%s line %d keeps tag %#x after InvalidateAll", l.spec.Name, i, tag)
+					}
+				}
+				for wi, w := range l.dirty {
+					if w != 0 {
+						t.Fatalf("%s dirty word %d is %#x after InvalidateAll", l.spec.Name, wi, w)
+					}
+				}
+			}
+			if h.DirtyBlocks() != 0 {
+				t.Fatalf("DirtyBlocks = %d after InvalidateAll", h.DirtyBlocks())
+			}
+			h.Release()
+		}
 	}
 }
 

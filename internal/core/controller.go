@@ -567,8 +567,15 @@ func (c *Controller) writePageRemap(now mem.Cycle, pageIdx uint64, addr uint64, 
 }
 
 // PeekBlock implements ctl.Controller: untimed read of the software-visible
-// version.
+// version, block by block.
 func (c *Controller) PeekBlock(addr uint64, buf []byte) {
+	for ; len(buf) > 0; addr, buf = addr+mem.BlockSize, buf[mem.BlockSize:] {
+		c.peekBlock(addr, buf[:mem.BlockSize])
+	}
+}
+
+// peekBlock is PeekBlock for the one block at addr.
+func (c *Controller) peekBlock(addr uint64, buf []byte) {
 	if pe, ok := c.pages.Get(mem.PageIndex(addr)); ok && !pe.dying {
 		off := addr - pe.homeAddr
 		if c.cfg.Mode == ModePageRemap {

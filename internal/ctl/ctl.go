@@ -58,8 +58,10 @@ type Controller interface {
 	// checkpoint committed) and the recovery latency in cycles.
 	Recover() (cpuState []byte, latency mem.Cycle, err error)
 
-	// PeekBlock reads the currently software-visible version of the block
-	// at physical addr without advancing time (verification only).
+	// PeekBlock reads the currently software-visible version of the
+	// whole-block span buf at physical addr without advancing time
+	// (verification only). addr is block-aligned and len(buf) a multiple of
+	// the block size; a span reads the same bytes as one peek per block.
 	PeekBlock(addr uint64, buf []byte)
 
 	// Stats returns accumulated controller statistics.

@@ -20,10 +20,11 @@ import (
 // Machine is one simulated system instance. It is not safe for concurrent
 // use; the whole simulation is deterministic and single-threaded.
 type Machine struct {
-	ctrl ctl.Controller
-	hier *cache.Hierarchy
-	core *cpu.Core
-	now  mem.Cycle
+	ctrl   ctl.Controller
+	hier   *cache.Hierarchy
+	cached bool // hier was built with cache levels
+	core   *cpu.Core
+	now    mem.Cycle
 
 	// flushIssueCost is the pipeline cost charged per dirty block during
 	// the checkpoint cache flush.
@@ -74,7 +75,7 @@ type Machine struct {
 // three-level hierarchy; without it the core talks to the controller
 // directly (useful for controller-focused experiments and tests).
 func NewMachine(ctrl ctl.Controller, withCaches bool) *Machine {
-	m := &Machine{ctrl: ctrl, core: &cpu.Core{}, flushIssueCost: 4}
+	m := &Machine{ctrl: ctrl, cached: withCaches, core: &cpu.Core{}, flushIssueCost: 4}
 	if withCaches {
 		m.hier = cache.Default(ctrl)
 	} else {
@@ -249,9 +250,14 @@ func (m *Machine) Write(addr uint64, data []byte) {
 
 // Peek reads the software-visible memory image without advancing time,
 // including data still dirty in the caches (what a program would load).
+// On a machine without caches a whole-block span is one controller peek.
 //
 //thynvm:hotpath
 func (m *Machine) Peek(addr uint64, buf []byte) {
+	if !m.cached && addr%mem.BlockSize == 0 && len(buf)%mem.BlockSize == 0 {
+		m.ctrl.PeekBlock(addr, buf)
+		return
+	}
 	block := &m.peekBlock
 	for len(buf) > 0 {
 		n := int(mem.BlockSize - addr%mem.BlockSize)

@@ -41,7 +41,9 @@ type Outcome struct {
 	FinalCycle mem.Cycle
 }
 
-// engine executes one schedule on one freshly built system.
+// engine executes one schedule on one observably fresh system: its cache
+// levels may be ones an earlier schedule's system released, which nothing
+// the schedule observes can tell.
 type engine struct {
 	s    *Schedule
 	sys  *thynvm.System
@@ -59,6 +61,8 @@ type engine struct {
 	// recovered one, a footprint each; allocated at the first crash and
 	// reused by every later one.
 	images []byte
+	// payload stages each write's data and each read's destination.
+	payload []byte
 }
 
 // Run executes a schedule and reports its outcome. A non-nil error means
@@ -203,7 +207,7 @@ func (e *engine) step(op *Op) error {
 	switch op.Kind {
 	case OpWrite:
 		addr := e.clampAddr(op.Addr, op.Len)
-		data := make([]byte, op.Len)
+		data := e.stage(op.Len)
 		for j := range data {
 			data[j] = op.Val + byte(j)
 		}
@@ -211,7 +215,7 @@ func (e *engine) step(op *Op) error {
 		e.o.RecordWrite(addr, op.Len)
 	case OpRead:
 		addr := e.clampAddr(op.Addr, op.Len)
-		m.Read(addr, make([]byte, op.Len))
+		m.Read(addr, e.stage(op.Len))
 	case OpCompute:
 		m.Compute(op.N)
 	case OpCheckpoint:
@@ -220,6 +224,14 @@ func (e *engine) step(op *Op) error {
 		return e.crash(op)
 	}
 	return nil
+}
+
+// stage returns the schedule's payload buffer cut to n bytes.
+func (e *engine) stage(n int) []byte {
+	if cap(e.payload) < n {
+		e.payload = make([]byte, n)
+	}
+	return e.payload[:n]
 }
 
 // crash executes one crash op: optional checkpoint-overlap placement, an

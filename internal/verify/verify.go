@@ -7,7 +7,7 @@ package verify
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 
 	"thynvm/internal/ctl"
 	"thynvm/internal/mem"
@@ -17,10 +17,10 @@ import (
 // workload started: physical memory is zero-initialized.
 var zeroBlock = make([]byte, mem.BlockSize)
 
-// Snapshot is one captured memory image, keyed by block address. A block in
-// the verified footprint that has no image entry was first touched after
-// this snapshot's capture — its expected content is the pre-workload base
-// (zero unless loaded via LoadBase).
+// Snapshot is one captured memory image: the footprint's first n blocks, in
+// first-touch order. A block of the verified footprint outside those n was
+// first touched after this snapshot's capture — its expected content is the
+// pre-workload base (zero unless loaded via LoadBase).
 type Snapshot struct {
 	Label string
 	At    mem.Cycle // capture instant (the checkpoint's epoch boundary)
@@ -36,20 +36,26 @@ type Snapshot struct {
 	// lose" floor.
 	Faulted bool
 
-	image map[uint64][]byte
+	n     int    // footprint size at capture
+	image []byte // n blocks, block i the footprint's i-th first touched
 }
 
 // Oracle tracks touched blocks and captured snapshots for one workload run.
+// The footprint only grows, so a block's first-touch ordinal never changes
+// and every snapshot's image is a prefix, in ordinal order, of the
+// footprint as it stands at a check.
 type Oracle struct {
-	touched map[uint64]bool
+	touched map[uint64]int // block address → first-touch ordinal
+	order   []uint64       // block addresses by ordinal
 	base    map[uint64][]byte
 	snaps   []*Snapshot
+	cur     []byte // scratch: the current image, in ordinal order
 }
 
 // New returns an empty oracle.
 func New() *Oracle {
 	return &Oracle{
-		touched: make(map[uint64]bool),
+		touched: make(map[uint64]int),
 		base:    make(map[uint64][]byte),
 	}
 }
@@ -61,7 +67,10 @@ func (o *Oracle) RecordWrite(addr uint64, n int) {
 		return
 	}
 	for a := mem.BlockAlign(addr); a < addr+uint64(n); a += mem.BlockSize {
-		o.touched[a] = true
+		if _, ok := o.touched[a]; !ok {
+			o.touched[a] = len(o.order)
+			o.order = append(o.order, a)
+		}
 	}
 }
 
@@ -85,38 +94,56 @@ func (o *Oracle) LoadBase(addr uint64, data []byte) {
 
 // TouchedBlocks returns the verified footprint in address order.
 func (o *Oracle) TouchedBlocks() []uint64 {
-	out := make([]uint64, 0, len(o.touched))
-	for a := range o.touched {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.Clone(o.order)
+	slices.Sort(out)
 	return out
 }
 
-// expected returns the content block a must hold for the image to equal
-// snapshot s: the captured image when present, else the pre-workload base
-// (the block was first written after s was captured, so at s's instant it
-// still held its initial content).
-func (o *Oracle) expected(s *Snapshot, a uint64) []byte {
-	if img, ok := s.image[a]; ok {
-		return img
-	}
+// baseOf returns block a's pre-workload content.
+func (o *Oracle) baseOf(a uint64) []byte {
 	if b, ok := o.base[a]; ok {
 		return b
 	}
 	return zeroBlock
 }
 
+// expected returns the content footprint block a must hold for the image
+// to equal snapshot s: the captured image when a was touched by s's
+// capture, else the pre-workload base (the block was first written after
+// s was captured, so at s's instant it still held its initial content).
+func (o *Oracle) expected(s *Snapshot, a uint64) []byte {
+	if i := o.touched[a]; i < s.n {
+		return s.image[i*mem.BlockSize : (i+1)*mem.BlockSize]
+	}
+	return o.baseOf(a)
+}
+
+// peekFootprint fills img, len(o.order) blocks, with the controller's
+// software-visible image of the footprint in first-touch order.
+func (o *Oracle) peekFootprint(c ctl.Controller, img []byte) {
+	for i, a := range o.order {
+		c.PeekBlock(a, img[i*mem.BlockSize:(i+1)*mem.BlockSize])
+	}
+}
+
+// current peeks the controller's image of the footprint into the oracle's
+// scratch slab and returns it.
+func (o *Oracle) current(c ctl.Controller) []byte {
+	n := len(o.order) * mem.BlockSize
+	if cap(o.cur) < n {
+		o.cur = make([]byte, n)
+	}
+	o.cur = o.cur[:n]
+	o.peekFootprint(c, o.cur)
+	return o.cur
+}
+
 // Capture snapshots the controller's software-visible image of all touched
 // blocks; call it at the instant a checkpoint begins (post cache flush).
 // It returns the snapshot index.
 func (o *Oracle) Capture(c ctl.Controller, label string, at mem.Cycle) int {
-	s := &Snapshot{Label: label, At: at, image: make(map[uint64][]byte, len(o.touched))}
-	for _, a := range o.TouchedBlocks() {
-		buf := make([]byte, mem.BlockSize)
-		c.PeekBlock(a, buf)
-		s.image[a] = buf
-	}
+	s := &Snapshot{Label: label, At: at, n: len(o.order), image: make([]byte, len(o.order)*mem.BlockSize)}
+	o.peekFootprint(c, s.image)
 	o.snaps = append(o.snaps, s)
 	return len(o.snaps) - 1
 }
@@ -175,12 +202,15 @@ func (o *Oracle) PruneAfter(idx int) {
 	}
 }
 
-// matchAll reports whether the controller's current visible image equals
-// snapshot s over the full touched footprint. buf is a scratch block.
-func (o *Oracle) matchAll(c ctl.Controller, s *Snapshot, blocks []uint64, buf []byte) bool {
-	for _, a := range blocks {
-		c.PeekBlock(a, buf)
-		if !bytes.Equal(buf, o.expected(s, a)) {
+// matches reports whether cur, the current image from current, equals
+// snapshot s over the full touched footprint: s's image over the blocks
+// its capture saw, the pre-workload base over the blocks touched since.
+func (o *Oracle) matches(s *Snapshot, cur []byte) bool {
+	if !bytes.Equal(cur[:len(s.image)], s.image) {
+		return false
+	}
+	for i := s.n; i < len(o.order); i++ {
+		if !bytes.Equal(cur[i*mem.BlockSize:(i+1)*mem.BlockSize], o.baseOf(o.order[i])) {
 			return false
 		}
 	}
@@ -195,10 +225,9 @@ func (o *Oracle) matchAll(c ctl.Controller, s *Snapshot, blocks []uint64, buf []
 // match (the footprint-soundness fix — such blocks used to be skipped,
 // hiding leaked late writes).
 func (o *Oracle) Match(c ctl.Controller) (idx int, label string, ok bool) {
-	blocks := o.TouchedBlocks()
-	buf := make([]byte, mem.BlockSize)
+	cur := o.current(c)
 	for i := len(o.snaps) - 1; i >= 0; i-- {
-		if o.matchAll(c, o.snaps[i], blocks, buf) {
+		if o.matches(o.snaps[i], cur) {
 			return i, o.snaps[i].Label, true
 		}
 	}
@@ -263,8 +292,6 @@ func (o *Oracle) NewestCleanCommitted(at mem.Cycle) int {
 // newest clean commit at or before crashAt — losing that is data loss).
 func (o *Oracle) Check(c ctl.Controller, crashAt mem.Cycle, hadCheckpoint bool) (int, error) {
 	floor := o.NewestCleanCommitted(crashAt)
-	blocks := o.TouchedBlocks()
-	buf := make([]byte, mem.BlockSize)
 	if !hadCheckpoint {
 		if floor >= 0 {
 			return -1, fmt.Errorf("verify: cold start but snapshot %d (%q) committed at cycle %d <= crash %d — committed checkpoint lost",
@@ -272,15 +299,10 @@ func (o *Oracle) Check(c ctl.Controller, crashAt mem.Cycle, hadCheckpoint bool) 
 		}
 		// Nothing ever committed: the recovered image must be the
 		// pre-workload base.
-		for _, a := range blocks {
+		buf := make([]byte, mem.BlockSize)
+		for _, a := range o.TouchedBlocks() {
 			c.PeekBlock(a, buf)
-			var want []byte
-			if b, ok := o.base[a]; ok {
-				want = b
-			} else {
-				want = zeroBlock
-			}
-			if !bytes.Equal(buf, want) {
+			if want := o.baseOf(a); !bytes.Equal(buf, want) {
 				return -1, fmt.Errorf("verify: cold start image differs from initial content at block %#x: got %x... want %x...",
 					a, buf[:4], want[:4])
 			}
@@ -291,6 +313,7 @@ func (o *Oracle) Check(c ctl.Controller, crashAt mem.Cycle, hadCheckpoint bool) 
 	if lo < 0 {
 		lo = 0
 	}
+	cur := o.current(c)
 	checked := 0
 	for i := len(o.snaps) - 1; i >= lo; i-- {
 		s := o.snaps[i]
@@ -298,7 +321,7 @@ func (o *Oracle) Check(c ctl.Controller, crashAt mem.Cycle, hadCheckpoint bool) 
 			continue // could not have been durable at the crash
 		}
 		checked++
-		if o.matchAll(c, s, blocks, buf) {
+		if o.matches(s, cur) {
 			return i, nil
 		}
 	}

@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"thynvm/internal/core"
@@ -301,5 +303,79 @@ func TestCheckEndToEnd(t *testing.T) {
 	}
 	if idx != 0 {
 		t.Fatalf("Check matched snapshot %d, want 0", idx)
+	}
+}
+
+// The oracle lays each snapshot out in first-touch order. Blocks first
+// touched in descending address order must still give an address-ordered
+// Diff and TouchedBlocks, and every Match and Check verdict, error text
+// included, of an oracle whose blocks were touched in ascending order.
+func TestFirstTouchOrderKeepsAddressOrder(t *testing.T) {
+	c := testCtrl()
+	up, down := New(), New()
+	now := mem.Cycle(0)
+	write := func(i int, v byte) {
+		now = c.WriteBlock(now, uint64(i)*mem.BlockSize, blockOf(v))
+	}
+	touch := func(lo, hi int) {
+		for i := lo; i <= hi; i++ {
+			up.RecordWrite(uint64(i)*mem.BlockSize, mem.BlockSize)
+			down.RecordWrite(uint64(hi+lo-i)*mem.BlockSize, mem.BlockSize)
+		}
+	}
+	both := func(f func(o *Oracle) string) {
+		t.Helper()
+		if u, d := f(up), f(down); u != d {
+			t.Fatalf("ascending-touch oracle says %q, descending-touch one %q", u, d)
+		}
+	}
+	// Cold start: nothing committed, two blocks leaked.
+	for i := 7; i >= 4; i-- {
+		write(i, byte(i+1))
+	}
+	touch(4, 7)
+	both(func(o *Oracle) string { _, err := o.Check(c, now, false); return fmt.Sprint(err) })
+	if _, err := down.Check(c, now, false); err == nil || !strings.Contains(err.Error(), "block 0x100:") {
+		t.Fatalf("cold-start Check = %v, want the lowest leaked block, 0x100", err)
+	}
+
+	// Snapshot a holds blocks 4..7; blocks 0..3 are first touched after it.
+	both(func(o *Oracle) string { return fmt.Sprint(o.Capture(c, "a", now)) })
+	for i := 3; i >= 0; i-- {
+		write(i, byte(i+11))
+	}
+	write(5, 50)
+	touch(0, 3)
+	both(func(o *Oracle) string { o.SetCommitted(0, now); return fmt.Sprint(o.Capture(c, "b", now)) })
+	both(func(o *Oracle) string { o.SetCommitted(1, now); return fmt.Sprint(o.TouchedBlocks()) })
+	both(func(o *Oracle) string { i, err := o.Check(c, now, true); return fmt.Sprint(i, err) })
+	if i, err := down.Check(c, now, true); err != nil || i != 1 {
+		t.Fatalf("Check = %d, %v, want snapshot 1", i, err)
+	}
+
+	// Damage three blocks: no snapshot matches, and the diff lists the
+	// blocks in address order.
+	write(6, 0xee)
+	write(1, 0xee)
+	write(3, 0xee)
+	both(func(o *Oracle) string { i, err := o.Check(c, now, true); return fmt.Sprint(i, err) })
+	both(func(o *Oracle) string { return fmt.Sprint(o.Diff(c, 1)) })
+	if _, err := down.Check(c, now, true); err == nil {
+		t.Fatal("Check accepted a damaged image")
+	}
+	if d := down.Diff(c, 1); len(d) != 3 || !strings.HasPrefix(d[0], "block 0x40:") ||
+		!strings.HasPrefix(d[1], "block 0xc0:") || !strings.HasPrefix(d[2], "block 0x180:") {
+		t.Fatalf("Diff = %v, want blocks 0x40, 0xc0, 0x180 in that order", d)
+	}
+
+	// Roll the image back to a: blocks touched after a read as zero again.
+	for i := 0; i <= 3; i++ {
+		write(i, 0)
+	}
+	write(5, 6)
+	write(6, 7)
+	both(func(o *Oracle) string { i, l, ok := o.Match(c); return fmt.Sprint(i, l, ok) })
+	if i, _, ok := down.Match(c); !ok || i != 0 {
+		t.Fatalf("Match = %d %v, want snapshot 0", i, ok)
 	}
 }

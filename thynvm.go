@@ -344,10 +344,14 @@ func (s *System) SyncStorage() error { return s.NVMStorage().Sync() }
 // path; it errors on the heap backend.
 func (s *System) SnapshotStorage(path string) error { return s.NVMStorage().Snapshot(path) }
 
-// Close releases the system's storage: on the mmap backend it unmaps the
-// NVM image (removing auto-created temporary files); on the heap backend it
-// is a no-op. The system must not be used afterwards.
-func (s *System) Close() error { return s.NVMStorage().Close() }
+// Close releases the system: its cache levels go back to the pool the next
+// system's hierarchy reuses them from, and on the mmap backend its NVM
+// image is unmapped (removing auto-created temporary files). The system
+// must not be used afterwards; a second Close does nothing.
+func (s *System) Close() error {
+	s.Caches().Release()
+	return s.NVMStorage().Close()
+}
 
 // NVMImagePath reports the mmap image file backing the NVM device, or ""
 // for the heap backend.

@@ -26,10 +26,10 @@ vet:
 # go install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 STATICCHECK_VERSION := 2025.1.1
 
-# Static checks: stock go vet, then the project's own eight analyzers —
+# Static checks: stock go vet, then the project's own seven analyzers —
 # the intraprocedural four (maporder, walltime, hotalloc, deferclose; see
-# DESIGN.md §9) plus the interprocedural four (hotpathprop, persistguard,
-# errflow, gosafety; DESIGN.md §14) over one module-wide summary table —
+# DESIGN.md §9) plus the interprocedural three (hotpathprop, persistguard,
+# gosafety; DESIGN.md §14) over one module-wide summary table —
 # with the escape-hatch audit (-report: per-directive counts, exit 1 on any
 # finding or on a stale / unknown / reason-less //thynvm: directive), then
 # staticcheck when installed (skipped, not failed, in hermetic environments

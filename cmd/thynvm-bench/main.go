@@ -5,13 +5,7 @@
 //
 //	thynvm-bench [-exp all|table1|table2|fig7|fig8|fig9|fig10|fig11|fig12]
 //	             [-scale small|default] [-parallel N] [-csv]
-//	             [-backend heap|mmap] [-json-out BENCH_PR<N>.json]
-//
-// -backend selects the NVM storage backend. The default heap backend keeps
-// simulated memory in process memory; mmap keeps each simulation's NVM
-// image in a self-removing temporary file. All tables are byte-identical
-// across backends — mmap exists for footprints larger than RAM and for
-// persistent image files, not for different results.
+//	             [-json-out BENCH_PR<N>.json]
 //
 // With -csv the tables are additionally emitted as CSV to stdout. Whenever
 // the micro-benchmark sweep runs (-exp all, fig7 or fig8), its results can
@@ -64,7 +58,6 @@ func main() {
 func run() error {
 	exp := flag.String("exp", "all", "experiment to run: all, table1, table2, fig7..fig12, epochs, recovery")
 	scaleName := flag.String("scale", "default", "experiment scale: small or default")
-	backendName := flag.String("backend", "heap", "NVM storage backend: heap or mmap (results are byte-identical; mmap keeps each cell's NVM image in a temporary file)")
 	integrity := flag.Bool("integrity", false, "enable per-block NVM checksums in every simulation, pricing integrity maintenance into the reported numbers")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulations per sweep (1 = sequential; output is identical for any value)")
 	csv := flag.Bool("csv", false, "also emit CSV")
@@ -95,11 +88,6 @@ func run() error {
 		return usagef("unknown scale %q", *scaleName)
 	}
 	sc.Parallel = *parallel
-	backend, err := thynvm.ParseBackend(*backendName)
-	if err != nil {
-		return usageError{err}
-	}
-	sc.Backing = thynvm.StorageSpec{Backend: backend}
 	sc.Integrity = *integrity
 
 	want := func(name string) bool { return *exp == "all" || *exp == name }

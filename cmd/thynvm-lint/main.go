@@ -1,12 +1,11 @@
-// Command thynvm-lint runs the project's custom static analyzers
+// Command thynvm-lint runs the project's seven custom static analyzers
 // (internal/analysis: maporder, walltime, hotalloc, deferclose, and the
-// interprocedural hotpathprop, persistguard, errflow, gosafety) over Go
-// package patterns. The suite makes the simulator's headline guarantees —
+// interprocedural hotpathprop, persistguard, gosafety) over Go package
+// patterns. The suite makes the simulator's headline guarantees —
 // byte-identical output for any -parallel value, zero-alloc hot paths,
 // profile/file cleanup on every CLI exit path, guard-before-destroy
-// checkpoint ordering, durable-error propagation — un-regressable at
-// compile time; the golden tests then only ever confirm what the checker
-// already proved.
+// checkpoint ordering — un-regressable at compile time; the golden tests
+// then only ever confirm what the checker already proved.
 //
 // The tool loads every matched package first and runs the suite over all
 // of them at once through analysis.Run, which computes the module-wide

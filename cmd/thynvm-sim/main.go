@@ -7,13 +7,6 @@
 //	thynvm-sim -system journal -workload lbm -ops 40000
 //	thynvm-sim -system thynvm,journal,shadow -parallel 3 -workload Sliding
 //	thynvm-sim -metrics-out metrics.json -trace-out trace.json -trace-format chrome
-//	thynvm-sim -backend mmap -mmap-image nvm.img -workload Streaming
-//
-// -backend mmap keeps the simulated NVM contents in a file-backed memory
-// mapping instead of the heap: footprints larger than RAM stay workable
-// (untouched space is never resident), and with -mmap-image the synced
-// image file survives the run for inspection or instant restore. Results
-// are byte-identical across backends.
 //
 // -system accepts a comma-separated list; the same workload then runs on
 // every listed system, fanned across -parallel workers (default:
@@ -82,11 +75,6 @@ type runOutput struct {
 	res thynvm.Result
 	st  thynvm.ControllerStats
 	col *obs.Collector
-
-	// mmap backend only: the NVM image file and its resident footprint.
-	imagePath    string
-	imageMB      float64
-	imageRemoved bool
 }
 
 func run() error {
@@ -95,12 +83,10 @@ func run() error {
 	traceFile := flag.String("tracefile", "", "replay a text trace file instead of a generated workload (lines: 'R|W addr size [compute]')")
 	ops := flag.Int("ops", 50_000, "memory operations to simulate")
 	footprint := flag.Uint64("footprint", 16<<20, "workload footprint in bytes")
-	phys := flag.Uint64("phys", 0, "physical address space in bytes (default: the paper's 64 MB; raise it for footprints beyond that — with -backend mmap the image stays sparse, so this can exceed RAM)")
+	phys := flag.Uint64("phys", 0, "physical address space in bytes (default: the paper's 64 MB; raise it for footprints beyond that — storage is sparse, so this can exceed RAM)")
 	epoch := flag.Duration("epoch", 300*time.Microsecond, "checkpoint epoch length")
 	seed := flag.Int64("seed", 42, "workload seed")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent runs when several systems are listed")
-	backendName := flag.String("backend", "heap", "NVM storage backend: heap or mmap (byte-identical results; mmap backs the NVM image with a file)")
-	mmapImage := flag.String("mmap-image", "", "mmap backend: keep the NVM image at this path after the run (default: self-removing temporary file); with several systems the system name is inserted before the extension")
 	metricsOut := flag.String("metrics-out", "", "write per-epoch time series + latency histograms (JSON) to this file")
 	traceOut := flag.String("trace-out", "", "write the structured event log to this file")
 	traceFormat := flag.String("trace-format", "jsonl", "event log format: jsonl or chrome (Perfetto-loadable trace events)")
@@ -130,13 +116,6 @@ func run() error {
 			return usageError{err}
 		}
 		kinds = append(kinds, kind)
-	}
-	backend, err := thynvm.ParseBackend(*backendName)
-	if err != nil {
-		return usageError{err}
-	}
-	if *mmapImage != "" && backend != thynvm.BackendMmap {
-		return usagef("-mmap-image requires -backend mmap")
 	}
 	effPhys := thynvm.DefaultOptions().PhysBytes
 	if *phys != 0 {
@@ -193,16 +172,11 @@ func run() error {
 		if *phys != 0 {
 			opts.PhysBytes = *phys
 		}
-		if backend == thynvm.BackendMmap {
-			opts.Backing = thynvm.StorageSpec{Backend: backend}
-			if *mmapImage != "" {
-				opts.Backing.Path = perSystemPath(*mmapImage, kinds[i], len(kinds) > 1)
-			}
-		}
 		sys, err := thynvm.NewSystem(kinds[i], opts)
 		if err != nil {
 			return runOutput{}, err
 		}
+		defer sys.Close()
 		var out runOutput
 		if collect {
 			// One collector per run: telemetry never crosses runs.
@@ -212,17 +186,6 @@ func run() error {
 		out.res = sys.Run(g)
 		sys.Drain()
 		out.st = sys.Stats()
-		if backend == thynvm.BackendMmap {
-			if err := sys.SyncStorage(); err != nil {
-				return runOutput{}, err
-			}
-			out.imagePath = sys.NVMImagePath()
-			out.imageMB = float64(sys.NVMFootprintBytes()) / (1 << 20)
-			out.imageRemoved = *mmapImage == "" // temporary image: gone after Close
-		}
-		if err := sys.Close(); err != nil {
-			return runOutput{}, err
-		}
 		return out, nil
 	})
 	if err != nil {
@@ -311,12 +274,5 @@ func printRun(out runOutput, footprint uint64, seed int64) {
 	if st.PeakBTTLive+st.PeakPTTLive > 0 {
 		fmt.Printf("table peak : BTT %d, PTT %d entries (%d spills)\n",
 			st.PeakBTTLive, st.PeakPTTLive, st.TableSpills)
-	}
-	if out.imagePath != "" {
-		note := "synced, kept"
-		if out.imageRemoved {
-			note = "temporary, removed"
-		}
-		fmt.Printf("NVM image  : %s (%.2f MB resident; %s)\n", out.imagePath, out.imageMB, note)
 	}
 }

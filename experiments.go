@@ -35,11 +35,6 @@ type Scale struct {
 	BTTSweep []int
 	// Seed makes all workloads deterministic.
 	Seed int64
-	// Backing selects the NVM storage backend for every simulation of a
-	// sweep. The zero value is the heap backend; with BackendMmap each
-	// cell gets its own temporary image file, removed when the cell
-	// finishes. Results are byte-identical across backends.
-	Backing StorageSpec
 	// Integrity enables per-block NVM checksums in every simulation of a
 	// sweep, pricing the integrity machinery's maintenance writes into the
 	// reported numbers. Off by default; the integrity-off tables are
@@ -95,7 +90,6 @@ func (sc Scale) options() Options {
 	o := DefaultOptions()
 	o.PhysBytes = sc.PhysBytes
 	o.EpochLen = sc.EpochLen
-	o.Backing = sc.Backing
 	o.Integrity = sc.Integrity
 	return o
 }
@@ -307,18 +301,12 @@ func RunKV(sc Scale) (*KVResults, error) {
 	return &KVResults{Scale: sc, Results: results}, nil
 }
 
-func runOneKV(sc Scale, storeName string, size int, kind SystemKind) (kvr KVResult, err error) {
+func runOneKV(sc Scale, storeName string, size int, kind SystemKind) (KVResult, error) {
 	sys, err := NewSystem(kind, sc.options())
 	if err != nil {
 		return KVResult{}, err
 	}
-	// Close can fail on the mmap backend; surface it rather than reporting
-	// a result produced over a broken backend.
-	defer func() {
-		if cerr := sys.Close(); cerr != nil && err == nil {
-			kvr, err = KVResult{}, cerr
-		}
-	}()
+	defer sys.Close()
 	// The arena must hold preload+tx values plus nodes.
 	arenaSize := uint64(sc.KVTx+sc.KVPreload)*(uint64(size)+128)*2 + (1 << 20)
 	if arenaSize > sc.PhysBytes/2 {
@@ -482,7 +470,7 @@ func RunFig12(sc Scale) (*Table, error) {
 		Title:  "Figure 12: Effect of BTT size (hash-table KV store on ThyNVM)",
 		Header: []string{"BTT_entries", "throughput_KTPS", "NVM_write_MB", "checkpoints", "table_spills"},
 	}
-	rows, err := pool.Run(len(sc.BTTSweep), sc.Parallel, func(i int) (row []string, err error) {
+	rows, err := pool.Run(len(sc.BTTSweep), sc.Parallel, func(i int) ([]string, error) {
 		btt := sc.BTTSweep[i]
 		opts := sc.options()
 		opts.BTTEntries = btt
@@ -490,11 +478,7 @@ func RunFig12(sc Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		defer func() {
-			if cerr := sys.Close(); cerr != nil && err == nil {
-				row, err = nil, cerr
-			}
-		}()
+		defer sys.Close()
 		// 1 KB requests: large enough that the working set exceeds the CPU
 		// caches and the BTT actually comes under pressure.
 		size := 1024

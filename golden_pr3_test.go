@@ -61,9 +61,7 @@ func goldenRun(t *testing.T, k thynvm.SystemKind) goldenSystem {
 	t.Helper()
 	sys := thynvm.MustNewSystem(k, smallOpts())
 	col := obs.NewCollector()
-	if !sys.SetRecorder(col) {
-		t.Fatalf("%v: controller did not accept the recorder", k)
-	}
+	sys.SetRecorder(col)
 	res := sys.Run(thynvm.RandomWorkload(1<<20, 2500, 7))
 	res2 := sys.Run(thynvm.StreamingWorkload(1<<20, 2500, 7))
 	sys.Drain()

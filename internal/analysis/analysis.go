@@ -1,8 +1,8 @@
 // Package analysis implements the thynvm-lint static checks: a small,
-// dependency-free analog of golang.org/x/tools/go/analysis carrying eight
+// dependency-free analog of golang.org/x/tools/go/analysis carrying seven
 // project-specific analyzers that make the simulator's determinism,
-// hot-path, durability-ordering and error-flow guarantees un-regressable
-// at compile time.
+// hot-path and durability-ordering guarantees un-regressable at compile
+// time.
 //
 // The framework mirrors the upstream API shape (Analyzer, Pass,
 // Diagnostic) so the analyzers could be ported to the real go/analysis
@@ -12,10 +12,9 @@
 // tests and the fixture runner alike.
 //
 // The suite is interprocedural: a call graph with per-function summaries
-// (allocates? touches durable state? raises the generation-safety guard?
-// returns a durability-critical error?) is computed bottom-up over
-// strongly connected components (summary.go) and shared by every analyzer
-// through Pass.Summaries — see DESIGN.md §14.
+// (allocates? raises the generation-safety guard?) is computed bottom-up
+// over strongly connected components (summary.go) and shared by every
+// analyzer through Pass.Summaries — see DESIGN.md §14.
 //
 // Escape hatches are line directives. A directive on the flagged line, or
 // on the line directly above it, suppresses the finding:
@@ -24,7 +23,6 @@
 //	//thynvm:allow-walltime <reason>     — sanctioned wall-clock/entropy use
 //	//thynvm:allow-alloc <reason>        — deliberate amortized allocation
 //	//thynvm:allow-nodefer <reason>      — cleanup proven on all paths by hand
-//	//thynvm:allow-errdrop <reason>      — durability error provably benign
 //	//thynvm:allow-concurrency <reason>  — sanctioned concurrency primitive
 //
 // Marker directives classify code rather than suppress findings:
@@ -60,11 +58,10 @@ type Analyzer struct {
 }
 
 // All is the thynvm-lint suite in reporting order: the four
-// intraprocedural analyzers from PR 4, then the four interprocedural ones
-// from PR 10.
+// intraprocedural analyzers, then the three interprocedural ones.
 var All = []*Analyzer{
 	MapOrder, WallTime, HotAlloc, DeferClose,
-	HotPathProp, PersistGuard, ErrFlow, GoSafety,
+	HotPathProp, PersistGuard, GoSafety,
 }
 
 // A Pass provides one analyzer with one type-checked package.

@@ -45,11 +45,6 @@ func TestPersistGuard(t *testing.T) {
 		"thynvm/internal/core/guardfixture")
 }
 
-func TestErrFlow(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.ErrFlow,
-		"thynvm/internal/mem/errfixture")
-}
-
 func TestGoSafety(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.GoSafety,
 		"thynvm/internal/core/gofixture",

@@ -25,7 +25,6 @@ var allowDirectives = map[string]bool{
 	"allow-walltime":    true,
 	"allow-alloc":       true,
 	"allow-nodefer":     true,
-	"allow-errdrop":     true,
 	"allow-concurrency": true,
 }
 
@@ -114,7 +113,7 @@ func BuildReport(pkgs []*load.Package, audit *DirectiveAudit) *Report {
 						}
 					default:
 						r.problem(pos, "unknown",
-							"unknown directive //thynvm:%s (it suppresses nothing); known: allow-{maporder,walltime,alloc,nodefer,errdrop,concurrency}, hotpath, guard-raise, destroys-generation", d.name)
+							"unknown directive //thynvm:%s (it suppresses nothing); known: allow-{maporder,walltime,alloc,nodefer,concurrency}, hotpath, guard-raise, destroys-generation", d.name)
 					}
 				}
 			}

@@ -13,7 +13,7 @@ import (
 )
 
 // TestTreeIsClean is the suite's core guarantee, run in-process: every
-// package of this module passes all eight analyzers in one analysis.Run,
+// package of this module passes all seven analyzers in one analysis.Run,
 // the way cmd/thynvm-lint runs them. Any regression — a map range sneaking
 // into internal/core, an allocation eroding a //thynvm:hotpath function's
 // transitive call tree, a guard raise deleted before a
@@ -84,31 +84,15 @@ func TestLintCLI(t *testing.T) {
 		t.Errorf("clean-tree report did not confirm directive hygiene:\n%s", out)
 	}
 
-	// A scratch module named thynvm, so its internal/core and internal/mem
-	// are in scope. Each of the eight analyzers has something to find, the
-	// errflow case crossing a package boundary (core drops an error that
-	// mem's summaries say carries a Sync error).
+	// A scratch module named thynvm, so its internal/core is in scope.
+	// Each of the seven analyzers has something to find.
 	dir := t.TempDir()
 	writeFile(t, filepath.Join(dir, "go.mod"), "module thynvm\n\ngo 1.22\n")
-	writeFile(t, filepath.Join(dir, "internal", "mem", "img.go"), `package mem
-
-type Image struct{ dirty bool }
-
-func (im *Image) Sync() error {
-	im.dirty = false
-	return nil
-}
-
-// SyncAll has an error result carrying Image.Sync's error.
-func SyncAll(im *Image) error { return im.Sync() }
-`)
 	writeFile(t, filepath.Join(dir, "internal", "core", "bad.go"), `package core
 
 import (
 	"os"
 	"time"
-
-	"thynvm/internal/mem"
 )
 
 func MapSum(m map[int]int) int {
@@ -140,10 +124,6 @@ func helperB() []byte { return make([]byte, 8) }
 func Recycle(slots []byte) {
 	//thynvm:destroys-generation reuses the previous generation's slot
 	slots[0] = 1
-}
-
-func DropSync(im *mem.Image) {
-	mem.SyncAll(im)
 }
 
 func Spawn(ch chan int) {

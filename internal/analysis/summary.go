@@ -13,14 +13,13 @@ import (
 
 // Per-function summaries: the interprocedural backbone of the suite
 // (DESIGN.md §14). Every function declaration in the module gets one
-// FuncSummary holding its direct facts (does its body allocate? touch
-// durable state? raise the generation-safety guard? return an error carrying
-// a durability-critical Sync/Close result?) plus its static call edges into
-// other module functions. Facts then propagate bottom-up over the call
-// graph's strongly connected components, so a caller inherits what its
-// callees may do, transitively, without any analyzer re-walking callee
-// bodies. The table is computed once per lint run over the whole module
-// and shared by all analyzers through Pass.Summaries.
+// FuncSummary holding its direct facts (does its body allocate? raise the
+// generation-safety guard?) plus its static call edges into other module
+// functions. Facts then propagate bottom-up over the call graph's strongly
+// connected components, so a caller inherits what its callees may do,
+// transitively, without any analyzer re-walking callee bodies. The table
+// is computed once per lint run over the whole module and shared by all
+// analyzers through Pass.Summaries.
 
 // moduleName is this module's import-path root; only calls into module
 // packages get summary edges (standard-library bodies are not loaded).
@@ -57,17 +56,8 @@ type FuncSummary struct {
 	allowedAllocs []auditKey
 
 	// RaisesGuard: the function is a guard-raise primitive (its doc comment
-	// carries the marker directive) or may call one. TouchesDurable: it may
-	// call a durability-critical primitive (Sync/Close/Snapshot/... on an
-	// internal/mem type, or the NVM image's os.File/msync path).
-	// ReturnsDurableErr: it has an error result and that error may carry a
-	// durability-critical primitive's error.
-	RaisesGuard       bool
-	TouchesDurable    bool
-	ReturnsDurableErr bool
-
-	// HasErrorResult gates ReturnsDurableErr propagation.
-	HasErrorResult bool
+	// carries the marker directive) or may call one.
+	RaisesGuard bool
 
 	// Calls lists the summary keys of module-internal functions the body
 	// statically calls (sorted, deduplicated; interface dispatch has no
@@ -140,9 +130,6 @@ func summarizeFunc(pkg *load.Package, dirs map[int][]directive, fn *ast.FuncDecl
 		s.DestroysGen = true
 		s.DestroysWhat = d.reason
 	}
-	if sig, ok := pkg.Info.Defs[fn.Name].Type().(*types.Signature); ok {
-		s.HasErrorResult = sigReturnsError(sig)
-	}
 
 	// Direct allocation witness, honoring //thynvm:allow-alloc exactly the
 	// way hotalloc does (a sanctioned amortized allocation is not an
@@ -163,25 +150,15 @@ func summarizeFunc(pkg *load.Package, dirs map[int][]directive, fn *ast.FuncDecl
 		s.AllocPos = pkg.Fset.Position(pos).String()
 	})
 
-	// Call edges and direct durability facts.
+	// Call edges.
 	callSet := make(map[string]bool)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		cfn := funcObj(pkg.Info, call)
-		if cfn == nil || cfn.Pkg() == nil {
-			return true
-		}
-		if InModule(cfn.Pkg().Path()) {
+		if cfn := funcObj(pkg.Info, call); cfn != nil && cfn.Pkg() != nil && InModule(cfn.Pkg().Path()) {
 			callSet[FuncKey(cfn)] = true
-		}
-		if _, ok := durablePrimitive(pkg.Info, pkg.Types.Path(), call); ok {
-			s.TouchesDurable = true
-			if _, allowed := allowedAt(dirs, pkg.Fset, call.Pos(), "allow-errdrop"); s.HasErrorResult && !allowed {
-				s.ReturnsDurableErr = true
-			}
 		}
 		return true
 	})
@@ -191,77 +168,6 @@ func summarizeFunc(pkg *load.Package, dirs map[int][]directive, fn *ast.FuncDecl
 	}
 	sort.Strings(s.Calls)
 	return s
-}
-
-// durableMethods are the method names whose error results carry durability:
-// flushing, closing or snapshotting the NVM image.
-var durableMethods = map[string]bool{
-	"Sync": true, "Close": true, "Snapshot": true, "Flush": true, "Msync": true,
-}
-
-// memScope is the package root whose types own the durable NVM image.
-const memScope = moduleName + "/internal/mem"
-
-func inMemScope(path string) bool {
-	return path == memScope || strings.HasPrefix(path, memScope+"/")
-}
-
-// durablePrimitive classifies a call as a durability-critical primitive:
-//
-//   - a Sync/Close/Snapshot/Flush/Msync method on a type declared under
-//     thynvm/internal/mem (the Storage backends and the mmap image), from
-//     anywhere in the module;
-//   - an (*os.File).Close/Sync, or the msyncFile/munmapFile syscall
-//     wrappers, inside thynvm/internal/mem itself — the NVM image path;
-//
-// pkgPath is the package being analyzed (for the inside-mem rules). It
-// returns a human-readable description of the primitive.
-func durablePrimitive(info *types.Info, pkgPath string, call *ast.CallExpr) (string, bool) {
-	fn := funcObj(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return "", false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return "", false
-	}
-	name := fn.Name()
-	if sig.Recv() != nil {
-		if inMemScope(fn.Pkg().Path()) && durableMethods[name] && sigReturnsError(sig) {
-			return recvShortName(sig) + "." + name, true
-		}
-		if fn.Pkg().Path() == "os" && inMemScope(pkgPath) &&
-			(name == "Close" || name == "Sync") && recvShortName(sig) == "File" {
-			return "os.File." + name, true
-		}
-		return "", false
-	}
-	if inMemScope(fn.Pkg().Path()) && sigReturnsError(sig) &&
-		(name == "msyncFile" || name == "munmapFile") {
-		return name, true
-	}
-	return "", false
-}
-
-// recvShortName returns the bare type name of a method's receiver.
-func recvShortName(sig *types.Signature) string {
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return t.String()
-}
-
-// sigReturnsError reports whether a signature's last result is error.
-func sigReturnsError(sig *types.Signature) bool {
-	res := sig.Results()
-	if res.Len() == 0 {
-		return false
-	}
-	return types.Identical(res.At(res.Len()-1).Type(), types.Universe.Lookup("error").Type())
 }
 
 // propagate raises the may-facts bottom-up: strongly connected components
@@ -344,14 +250,6 @@ func propagate(sums map[string]*FuncSummary) {
 					}
 					if cs.RaisesGuard && !s.RaisesGuard {
 						s.RaisesGuard = true
-						changed = true
-					}
-					if cs.TouchesDurable && !s.TouchesDurable {
-						s.TouchesDurable = true
-						changed = true
-					}
-					if cs.ReturnsDurableErr && s.HasErrorResult && !s.ReturnsDurableErr {
-						s.ReturnsDurableErr = true
 						changed = true
 					}
 				}

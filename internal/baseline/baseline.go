@@ -39,11 +39,6 @@ type Config struct {
 	// DRAM and NVM are device timing specs.
 	DRAM mem.DeviceSpec
 	NVM  mem.DeviceSpec
-	// NVMBacking selects the persistent device's storage backend (heap by
-	// default, or an mmap-backed image file). For the ideal systems it
-	// applies to their single main-memory device, which plays the
-	// persistent role; DRAM buffers stay heap-backed.
-	NVMBacking mem.StorageSpec
 	// Generations is the number of retained checkpoint generations (commit
 	// header slots) for the journaling and shadow baselines. 0 means the
 	// classic ping-pong pair; values above 2 enable multi-generation

@@ -41,14 +41,7 @@ func NewIdealDRAM(cfg Config) (*Ideal, error) {
 	}
 	spec := cfg.DRAM
 	spec.Volatile = false // idealized: contents survive by assumption
-	store, err := mem.NewBackedStorage(cfg.NVMBacking)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Integrity {
-		store.EnableIntegrity()
-	}
-	return &Ideal{Durable: ctl.Durable{Dev: mem.NewDeviceStorage(spec, store)}, cfg: cfg, name: "Ideal DRAM"}, nil
+	return newIdeal(cfg, spec, "Ideal DRAM"), nil
 }
 
 // NewIdealNVM builds the NVM-only ideal system.
@@ -56,14 +49,15 @@ func NewIdealNVM(cfg Config) (*Ideal, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	store, err := mem.NewBackedStorage(cfg.NVMBacking)
-	if err != nil {
-		return nil, err
-	}
+	return newIdeal(cfg, cfg.NVM, "Ideal NVM"), nil
+}
+
+func newIdeal(cfg Config, spec mem.DeviceSpec, name string) *Ideal {
+	dev := mem.NewDevice(spec)
 	if cfg.Integrity {
-		store.EnableIntegrity()
+		dev.Storage().EnableIntegrity()
 	}
-	return &Ideal{Durable: ctl.Durable{Dev: mem.NewDeviceStorage(cfg.NVM, store)}, cfg: cfg, name: "Ideal NVM"}, nil
+	return &Ideal{Durable: ctl.Durable{Dev: dev}, cfg: cfg, name: name}
 }
 
 // Name identifies the system in reports.

@@ -53,21 +53,17 @@ func NewJournal(cfg Config) (*Journal, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	nvmStore, err := mem.NewBackedStorage(cfg.NVMBacking)
-	if err != nil {
-		return nil, err
-	}
 	j := &Journal{
 		cfg:  cfg,
-		nvm:  mem.NewDeviceStorage(cfg.NVM, nvmStore),
+		nvm:  mem.NewDevice(cfg.NVM),
 		dram: mem.NewDevice(cfg.DRAM),
 	}
 	j.Dev = j.nvm
 	j.idxScratch = alloc.NewRegion[uint64](&j.epoch, cfg.JournalEntries)
 	j.blobScratch = alloc.NewRegion[byte](&j.epoch, 4096)
-	j.meta = commit.NewMeta("baseline: journal", commit.Baseline, cfg.PhysBytes, cfg.Generations, cfg.Integrity, nvmStore)
+	j.meta = commit.NewMeta("baseline: journal", commit.Baseline, cfg.PhysBytes, cfg.Generations, cfg.Integrity, j.nvm.Storage())
 	if cfg.Integrity {
-		nvmStore.EnableIntegrity()
+		j.nvm.Storage().EnableIntegrity()
 	}
 	j.nvmBump = j.meta.DataStart()
 	return j, nil

@@ -1,19 +1,8 @@
 package baseline
 
-import (
-	"thynvm/internal/ctl"
-	"thynvm/internal/obs"
-)
+import "thynvm/internal/obs"
 
-// All baseline controllers accept a telemetry recorder so the same
-// instrumented harness runs against ThyNVM and its comparison points.
-var (
-	_ ctl.Observable = (*Ideal)(nil)
-	_ ctl.Observable = (*Journal)(nil)
-	_ ctl.Observable = (*Shadow)(nil)
-)
-
-// SetRecorder implements ctl.Observable.
+// SetRecorder implements ctl.Controller.
 func (s *Ideal) SetRecorder(r obs.Recorder) {
 	if s.Dev.Spec().Name == "DRAM" {
 		s.Dev.SetRecorder(r, obs.HistDRAMRead, obs.HistDRAMWrite)
@@ -26,7 +15,7 @@ func (s *Ideal) SetRecorder(r obs.Recorder) {
 	}
 }
 
-// SetRecorder implements ctl.Observable.
+// SetRecorder implements ctl.Controller.
 func (j *Journal) SetRecorder(r obs.Recorder) {
 	j.nvm.SetRecorder(r, obs.HistNVMRead, obs.HistNVMWrite)
 	j.dram.SetRecorder(r, obs.HistDRAMRead, obs.HistDRAMWrite)
@@ -36,7 +25,7 @@ func (j *Journal) SetRecorder(r obs.Recorder) {
 	}
 }
 
-// SetRecorder implements ctl.Observable.
+// SetRecorder implements ctl.Controller.
 func (s *Shadow) SetRecorder(r obs.Recorder) {
 	s.nvm.SetRecorder(r, obs.HistNVMRead, obs.HistNVMWrite)
 	s.dram.SetRecorder(r, obs.HistDRAMRead, obs.HistDRAMWrite)

@@ -66,21 +66,17 @@ func NewShadow(cfg Config) (*Shadow, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	nvmStore, err := mem.NewBackedStorage(cfg.NVMBacking)
-	if err != nil {
-		return nil, err
-	}
 	s := &Shadow{
 		cfg:  cfg,
-		nvm:  mem.NewDeviceStorage(cfg.NVM, nvmStore),
+		nvm:  mem.NewDevice(cfg.NVM),
 		dram: mem.NewDevice(cfg.DRAM),
 	}
 	s.Dev = s.nvm
 	s.pageScratch = alloc.NewRegion[*shadowPage](&s.epoch, cfg.DRAMPages)
 	s.blobScratch = alloc.NewRegion[byte](&s.epoch, 4096)
-	s.meta = commit.NewMeta("baseline: shadow", commit.Baseline, cfg.PhysBytes, cfg.Generations, cfg.Integrity, nvmStore)
+	s.meta = commit.NewMeta("baseline: shadow", commit.Baseline, cfg.PhysBytes, cfg.Generations, cfg.Integrity, s.nvm.Storage())
 	if cfg.Integrity {
-		nvmStore.EnableIntegrity()
+		s.nvm.Storage().EnableIntegrity()
 	}
 	s.nvmBump = s.meta.DataStart()
 	return s, nil

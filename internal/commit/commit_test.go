@@ -166,37 +166,28 @@ func TestGuardRaise(t *testing.T) {
 }
 
 // TestScanBlobOutsideDevice: a header whose checksums hold but whose blob
-// range wraps, exceeds everything ever written, or runs past an mmap
-// image's capacity is blob damage — never a panic or an unbounded read.
+// range wraps or exceeds everything ever written is blob damage — never a
+// panic or an unbounded read.
 func TestScanBlobOutsideDevice(t *testing.T) {
-	for _, backend := range []mem.Backend{mem.BackendHeap, mem.BackendMmap} {
-		store, err := mem.NewBackedStorage(mem.StorageSpec{Backend: backend, Capacity: 8 << 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nvm := mem.NewDeviceStorage(mem.NVMSpec(), store)
-		m := NewMeta("test", Baseline, 1<<20, 4, false, store)
-		blob := []byte("an intact blob")
-		addr := m.DataStart()
-		nvm.Poke(addr, blob)
-		headers := []Header{
-			{Seq: 0, BlobAddr: addr, BlobLen: uint64(len(blob)), BlobSum: mem.Checksum(blob)},
-			{Seq: 1, BlobAddr: ^uint64(0) - 8, BlobLen: 64, BlobSum: 1},
-			{Seq: 2, BlobAddr: addr, BlobLen: 1 << 62, BlobSum: 1},
-			{Seq: 3, BlobAddr: 7 << 20, BlobLen: 2 << 20, BlobSum: 1},
-		}
-		for i, h := range headers {
-			var rec [RecordSize]byte
-			Baseline.EncodeHeader(rec[:], h)
-			nvm.Poke(m.HeaderAddr(uint64(i)), rec[:])
-		}
-		sc, _ := m.Scan(nvm, 0)
-		if !sc.Found || sc.Best.Seq != 0 || sc.BlobDamage != 3 || sc.Depth != 3 {
-			t.Errorf("%v: scan = %+v, want generation 0 past 3 damaged blobs", backend, sc)
-		}
-		if err := store.Close(); err != nil {
-			t.Fatal(err)
-		}
+	nvm := mem.NewDevice(mem.NVMSpec())
+	m := NewMeta("test", Baseline, 1<<20, 4, false, nvm.Storage())
+	blob := []byte("an intact blob")
+	addr := m.DataStart()
+	nvm.Poke(addr, blob)
+	headers := []Header{
+		{Seq: 0, BlobAddr: addr, BlobLen: uint64(len(blob)), BlobSum: mem.Checksum(blob)},
+		{Seq: 1, BlobAddr: ^uint64(0) - 8, BlobLen: 64, BlobSum: 1},
+		{Seq: 2, BlobAddr: addr, BlobLen: 1 << 62, BlobSum: 1},
+		{Seq: 3, BlobAddr: 7 << 20, BlobLen: 2 << 20, BlobSum: 1},
+	}
+	for i, h := range headers {
+		var rec [RecordSize]byte
+		Baseline.EncodeHeader(rec[:], h)
+		nvm.Poke(m.HeaderAddr(uint64(i)), rec[:])
+	}
+	sc, _ := m.Scan(nvm, 0)
+	if !sc.Found || sc.Best.Seq != 0 || sc.BlobDamage != 3 || sc.Depth != 3 {
+		t.Errorf("scan = %+v, want generation 0 past 3 damaged blobs", sc)
 	}
 }
 

@@ -181,7 +181,7 @@ func (c *Controller) BeginCheckpoint(now mem.Cycle, cpuState []byte) mem.Cycle {
 	// consolidation copies posted at the previous commit.
 	blob := c.serializeTables(cpuState)
 	blobAddr := c.meta.Area(c.seq, uint64(len(blob)), &c.nvmBump)
-	_, blobDone := c.nvm.WriteWithCompletion(now, blobAddr, blob, mem.SrcCheckpoint)
+	_, blobDone := c.nvm.WriteAt(now, now, blobAddr, blob, mem.SrcCheckpoint)
 	if blobDone > maxDone {
 		maxDone = blobDone
 	}

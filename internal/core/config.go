@@ -101,10 +101,6 @@ type Config struct {
 	// DRAM and NVM are the device timing specs.
 	DRAM mem.DeviceSpec
 	NVM  mem.DeviceSpec
-	// NVMBacking selects the NVM storage backend (heap by default, or an
-	// mmap-backed image file). DRAM is always heap-backed: it is volatile
-	// and small.
-	NVMBacking mem.StorageSpec
 	// Generations is the number of retained checkpoint generations K
 	// (header slots + metadata blob areas). 0 means the classic ping-pong
 	// pair (K=2). With K > 2, recovery walks backward past damaged

@@ -83,13 +83,9 @@ func New(cfg Config) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	nvmStore, err := mem.NewBackedStorage(cfg.NVMBacking)
-	if err != nil {
-		return nil, err
-	}
 	c := &Controller{
 		cfg:        cfg,
-		nvm:        mem.NewDeviceStorage(cfg.NVM, nvmStore),
+		nvm:        mem.NewDevice(cfg.NVM),
 		dram:       mem.NewDevice(cfg.DRAM),
 		pageStores: &radix.Table[uint32]{},
 	}
@@ -100,9 +96,9 @@ func New(cfg Config) (*Controller, error) {
 	c.brecScratch = alloc.NewRegion[tableRec](&c.epoch, cfg.BTTEntries)
 	c.precScratch = alloc.NewRegion[tableRec](&c.epoch, cfg.PTTEntries)
 	c.blobScratch = alloc.NewRegion[byte](&c.epoch, 4096)
-	c.meta = commit.NewMeta("core", commit.ThyNVM, cfg.PhysBytes, cfg.Generations, cfg.Integrity, nvmStore)
+	c.meta = commit.NewMeta("core", commit.ThyNVM, cfg.PhysBytes, cfg.Generations, cfg.Integrity, c.nvm.Storage())
 	if cfg.Integrity {
-		nvmStore.EnableIntegrity()
+		c.nvm.Storage().EnableIntegrity()
 	}
 	c.nvmBumpStart = c.meta.DataStart()
 	c.nvmBump = c.nvmBumpStart

@@ -1,14 +1,11 @@
 package core
 
 import (
-	"thynvm/internal/ctl"
 	"thynvm/internal/mem"
 	"thynvm/internal/obs"
 )
 
-var _ ctl.Observable = (*Controller)(nil)
-
-// SetRecorder implements ctl.Observable: it attaches r to both devices (for
+// SetRecorder implements ctl.Controller: it attaches r to both devices (for
 // raw access-latency histograms), and to the controller's epoch sampler.
 // Pass nil to detach. Attaching mid-run rebases the per-epoch delta series
 // at the current cumulative stats.

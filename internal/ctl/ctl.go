@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"thynvm/internal/mem"
+	"thynvm/internal/obs"
 )
 
 // Controller is a memory controller enforcing crash consistency over a
@@ -94,9 +95,12 @@ type Controller interface {
 	// address-space layout.
 	MetadataKind(addr uint64) MetadataKind
 	// NVMStorage is the durable device's backing store, for media-level
-	// operations (fault injection, integrity audits) and backend-level ones
-	// (Sync, Snapshot, Close on mmap-backed images).
+	// operations (fault injection, integrity audits).
 	NVMStorage() *mem.Storage
+
+	// SetRecorder attaches a telemetry recorder to the controller and its
+	// devices; nil detaches.
+	SetRecorder(r obs.Recorder)
 }
 
 // Durable implements the part of Controller every built-in system shares:

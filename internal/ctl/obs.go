@@ -5,23 +5,6 @@ import (
 	"thynvm/internal/obs"
 )
 
-// Observable is the optional interface a Controller implements to accept a
-// telemetry Recorder (all controllers in this repo do). It is optional so
-// that test doubles embedding Controller need not care.
-type Observable interface {
-	SetRecorder(r obs.Recorder)
-}
-
-// Attach hands the recorder to the controller if it is Observable and
-// reports whether it was accepted.
-func Attach(c Controller, r obs.Recorder) bool {
-	if o, ok := c.(Observable); ok {
-		o.SetRecorder(r)
-		return true
-	}
-	return false
-}
-
 // EpochMeta carries the controller-specific fields of one epoch sample that
 // cannot be derived from Stats deltas.
 type EpochMeta struct {

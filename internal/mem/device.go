@@ -139,15 +139,8 @@ type Device struct {
 	track     obs.TrackID
 }
 
-// NewDevice creates a device with the given spec and empty heap-backed
-// contents.
+// NewDevice creates a device with the given spec and empty contents.
 func NewDevice(spec DeviceSpec) *Device {
-	return NewDeviceStorage(spec, NewStorage())
-}
-
-// NewDeviceStorage creates a device whose contents live in store — a heap
-// storage, or an mmap-backed one from NewBackedStorage.
-func NewDeviceStorage(spec DeviceSpec, store *Storage) *Device {
 	if spec.Banks <= 0 {
 		spec.Banks = 1
 	}
@@ -160,7 +153,7 @@ func NewDeviceStorage(spec DeviceSpec, store *Storage) *Device {
 	d := &Device{
 		spec:  spec,
 		banks: make([]bank, spec.Banks),
-		store: store,
+		store: NewStorage(),
 		links: make([]link, 1),
 	}
 	for i := range d.banks {
@@ -173,8 +166,8 @@ func NewDeviceStorage(spec DeviceSpec, store *Storage) *Device {
 // Spec returns the device's timing specification.
 func (d *Device) Spec() DeviceSpec { return d.spec }
 
-// Storage returns the device's backing store (for backend-level operations
-// such as Sync, Snapshot and Close on mmap-backed devices).
+// Storage returns the device's backing store, for media-level operations
+// (integrity mode, fault injection, recovery scans).
 func (d *Device) Storage() *Storage { return d.store }
 
 // SetRecorder attaches a telemetry recorder; read and write access
@@ -503,13 +496,6 @@ func (d *Device) Write(now Cycle, addr uint64, data []byte, src WriteSource) (ac
 	return ack
 }
 
-// WriteWithCompletion posts a write like Write and additionally reports the
-// cycle at which it becomes durable. Checkpointing code uses the completion
-// to order its commit record after the data it covers.
-func (d *Device) WriteWithCompletion(now Cycle, addr uint64, data []byte, src WriteSource) (ack, done Cycle) {
-	return d.WriteAt(now, now, addr, data, src)
-}
-
 // WriteAt posts a write at wall-clock cycle now that may not issue to the
 // banks before issueAt. The distinction matters for background work: a
 // checkpoint commit record is posted while the processor is at `now` but
@@ -674,18 +660,3 @@ func (d *Device) DurableSnapshot(at Cycle) *Storage {
 }
 
 func bySeq(a, b pending) int { return cmp.Compare(a.seq, b.seq) }
-
-// BusyUntil returns the latest cycle at which any bank is still busy; used
-// by drivers to account device occupancy.
-func (d *Device) BusyUntil() Cycle {
-	var m Cycle
-	for i := range d.banks {
-		if d.banks[i].readReadyAt > m {
-			m = d.banks[i].readReadyAt
-		}
-		if d.banks[i].writeReadyAt > m {
-			m = d.banks[i].writeReadyAt
-		}
-	}
-	return m
-}

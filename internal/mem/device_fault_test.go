@@ -48,7 +48,7 @@ func TestCrashFaultTearsOnlyInFlightWrites(t *testing.T) {
 	d := NewDevice(NVMSpec())
 	done1 := d.Write(0, 0, mkBlock(0x11), SrcCPU)
 	done1 = d.Flush(done1) // durable before the crash
-	_, done2 := d.WriteWithCompletion(done1, BlockSize, mkBlock(0x22), SrcCPU)
+	_, done2 := d.WriteAt(done1, done1, BlockSize, mkBlock(0x22), SrcCPU)
 
 	var torn []uint64
 	d.SetCrashFault(func(addr uint64, data []byte) []byte {
@@ -80,7 +80,7 @@ func TestCrashFaultTearsOnlyInFlightWrites(t *testing.T) {
 
 func TestCrashFaultDropAll(t *testing.T) {
 	d := NewDevice(NVMSpec())
-	_, done := d.WriteWithCompletion(0, 0, mkBlock(0x33), SrcCPU)
+	_, done := d.WriteAt(0, 0, 0, mkBlock(0x33), SrcCPU)
 	d.SetCrashFault(func(addr uint64, data []byte) []byte { return nil })
 	d.Crash(done - 1)
 	buf := make([]byte, BlockSize)

@@ -38,7 +38,7 @@ func TestDeviceDirtyRowMissPenalty(t *testing.T) {
 	// The write stream moving to a different row on the same bank pays the
 	// dirty-row-miss penalty (the modified row must be written back).
 	otherRow := spec.RowBytes * uint64(spec.Banks) // same bank, next row
-	_, done := d.WriteWithCompletion(now, otherRow, data, SrcCPU)
+	_, done := d.WriteAt(now, now, otherRow, data, SrcCPU)
 	if done != now+spec.RowMissDirty {
 		t.Errorf("dirty write miss done at %d, want %d", done, now+spec.RowMissDirty)
 	}
@@ -289,7 +289,7 @@ func TestReadBackgroundContendsWithWrites(t *testing.T) {
 	spec := NVMSpec()
 	d := NewDevice(spec)
 	data := make([]byte, BlockSize)
-	_, wdone := d.WriteWithCompletion(0, 0, data, SrcCheckpoint)
+	_, wdone := d.WriteAt(0, 0, 0, data, SrcCheckpoint)
 	buf := make([]byte, BlockSize)
 	// Background read on the same bank queues behind the write drain.
 	done := d.ReadBackground(0, BlockSize, buf)
@@ -335,7 +335,7 @@ func TestMaxPendingDone(t *testing.T) {
 		t.Errorf("empty queue MaxPendingDone = %d, want now", got)
 	}
 	data := make([]byte, BlockSize)
-	_, done := d.WriteWithCompletion(0, 0, data, SrcCPU)
+	_, done := d.WriteAt(0, 0, 0, data, SrcCPU)
 	if got := d.MaxPendingDone(0); got != done {
 		t.Errorf("MaxPendingDone = %d, want %d", got, done)
 	}

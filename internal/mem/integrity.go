@@ -6,9 +6,7 @@ import "thynvm/internal/radix"
 // per-block checksums on the NVM data region (integrity mode), a scrub
 // walk that verifies them incrementally, and deterministic seeded fault
 // injection — bit-rot on idle chunks and dead (uncorrectable) chunks.
-// Both backends share it: faults mutate raw chunk bytes via chunkAt, and
-// checksums live beside the storage in heap memory on either backend, so
-// the mmap image format is unchanged.
+// Faults mutate raw chunk bytes, and checksums live beside the chunks.
 //
 // The threat model split: WriteFault/CrashFault (device.go) model the
 // write path lying at persist time; the media model here corrupts data
@@ -32,8 +30,8 @@ type IntegrityCounters struct {
 	DeadChunks    uint64 // chunks currently marked uncorrectable
 }
 
-// integrityState carries per-block checksums and media-fault state. It is
-// heap-side metadata parallel to the chunks, never part of an mmap image.
+// integrityState carries per-block checksums and media-fault state,
+// metadata parallel to the chunks.
 type integrityState struct {
 	sums radix.Table[[]uint64] // per chunk: blocksPerChunk Checksum sums
 	dead radix.Table[bool]     // chunk base -> uncorrectable
@@ -58,15 +56,15 @@ func Checksum(b []byte) uint64 {
 // EnableIntegrity switches the storage into integrity mode: every Write
 // maintains a checksum per BlockSize granule, reads covering whole blocks
 // verify them, and ScrubStep/VerifyRange walk them on demand. Contents
-// already present (an attached image) are summed now, so enabling is safe
-// at any point before faults are injected.
+// already present are summed now, so enabling is safe at any point before
+// faults are injected.
 func (s *Storage) EnableIntegrity() {
 	if s.integ != nil {
 		return
 	}
 	st := &integrityState{zeroSum: Checksum(zeroChunk[:BlockSize])}
 	s.integ = st
-	s.scanChunks(func(base uint64, chunk []byte) bool {
+	s.chunks.Scan(func(base uint64, chunk []byte) bool {
 		st.resum(base, chunk)
 		return true
 	})
@@ -117,18 +115,12 @@ func (s *Storage) integWrite(addr uint64, data []byte) {
 		if n > len(data) {
 			n = len(data)
 		}
-		var chunk []byte
-		if s.mm != nil {
-			s.mm.write(addr, data[:n])
-			chunk = s.mm.data[base*storageChunk : (base+1)*storageChunk]
-		} else {
-			slot := s.chunks.Ref(base)
-			if *slot == nil {
-				*slot = make([]byte, storageChunk)
-			}
-			copy((*slot)[off:off+n], data[:n])
-			chunk = *slot
+		slot := s.chunks.Ref(base)
+		if *slot == nil {
+			*slot = make([]byte, storageChunk)
 		}
+		chunk := *slot
+		copy(chunk[off:off+n], data[:n])
 		sums := st.sumsFor(base)
 		for b := off / BlockSize; b*BlockSize < off+n; b++ {
 			sums[b] = Checksum(chunk[b*BlockSize : (b+1)*BlockSize])
@@ -159,7 +151,7 @@ func (s *Storage) integRead(addr uint64, buf []byte) {
 				buf[i] = deadPoison
 			}
 			st.counters.ReadFailures++
-		} else if chunk, ok := s.chunkAt(base); ok {
+		} else if chunk, ok := s.chunks.Get(base); ok {
 			copy(buf[pos:pos+n], chunk[off:off+n])
 			sums := st.sumsFor(base)
 			first := (off + BlockSize - 1) / BlockSize
@@ -186,7 +178,7 @@ func (s *Storage) VerifyRange(lo, hi uint64) []uint64 {
 	}
 	st := s.integ
 	var fails []uint64
-	s.scanChunks(func(base uint64, chunk []byte) bool {
+	s.chunks.Scan(func(base uint64, chunk []byte) bool {
 		cLo, cHi := base*storageChunk, (base+1)*storageChunk
 		if cHi <= lo || cLo >= hi {
 			return true
@@ -204,7 +196,7 @@ func (s *Storage) VerifyRange(lo, hi uint64) []uint64 {
 		if cLo+storageChunk <= lo || cLo >= hi {
 			return true
 		}
-		if _, ok := s.chunkAt(base); !ok {
+		if _, ok := s.chunks.Get(base); !ok {
 			st.counters.ScrubFailures++
 			fails = append(fails, cLo)
 		}
@@ -243,7 +235,7 @@ func (s *Storage) ScrubStep(budget int, limit uint64) (scanned int, fails []uint
 	wrapped := false
 	for scanned < budget {
 		advanced := false
-		s.scanChunks(func(base uint64, chunk []byte) bool {
+		s.chunks.Scan(func(base uint64, chunk []byte) bool {
 			if base < st.cursor || base*storageChunk >= limit {
 				return true
 			}
@@ -281,8 +273,8 @@ func splitmix64(state *uint64) uint64 {
 // touchedBases snapshots the touched chunk bases in ascending order, the
 // deterministic sample space for fault placement.
 func (s *Storage) touchedBases() []uint64 {
-	bases := make([]uint64, 0, s.touchedChunks())
-	s.scanChunks(func(base uint64, _ []byte) bool {
+	bases := make([]uint64, 0, s.chunks.Len())
+	s.chunks.Scan(func(base uint64, _ []byte) bool {
 		bases = append(bases, base)
 		return true
 	})
@@ -292,7 +284,7 @@ func (s *Storage) touchedBases() []uint64 {
 // InjectBitRot flips count bits at seeded-deterministic positions inside
 // touched chunks, mutating raw chunk bytes directly — bypassing checksum
 // maintenance, as real bit-rot would. It returns the block addresses hit.
-// Works identically on both backends; a no-op on an untouched storage.
+// A no-op on an untouched storage.
 func (s *Storage) InjectBitRot(seed uint64, count int) []uint64 {
 	bases := s.touchedBases()
 	if len(bases) == 0 {
@@ -303,7 +295,7 @@ func (s *Storage) InjectBitRot(seed uint64, count int) []uint64 {
 	for i := 0; i < count; i++ {
 		base := bases[splitmix64(&state)%uint64(len(bases))]
 		bit := splitmix64(&state) % (storageChunk * 8)
-		chunk, ok := s.chunkAt(base)
+		chunk, ok := s.chunks.Get(base)
 		if !ok {
 			continue
 		}

@@ -1,24 +1,25 @@
 package mem
 
-import "thynvm/internal/radix"
+import (
+	"bytes"
+
+	"thynvm/internal/radix"
+)
 
 // Storage is a sparse, byte-accurate backing store for a device's hardware
 // address space. Unwritten bytes read as zero, so a multi-gigabyte address
-// space costs only what is touched. Two backends exist (see Backend): the
-// default heap backend allocates 4 KB chunks lazily in a radix table; the
-// mmap backend keeps the same chunks in a file-backed mapping (backing.go).
+// space costs only what is touched: 4 KB chunks are allocated on their
+// first write.
 //
-// Heap chunks are indexed by a radix table rather than a map: the chunk
-// index is dense near zero (physical frames are bump-allocated), so a
-// lookup is a few array indexations, and the table's MRU leaf memo makes
-// the common run of accesses to neighboring chunks a single indexation.
+// Chunks are indexed by a radix table rather than a map: the chunk index
+// is dense near zero (physical frames are bump-allocated), so a lookup is
+// a few array indexations, and the table's MRU leaf memo makes the common
+// run of accesses to neighboring chunks a single indexation.
 type Storage struct {
 	chunks radix.Table[[]byte]
-	mm     *mmapBacking // non-nil: contents live in the mapped image instead
 
 	// integ, when non-nil, switches Read/Write onto the integrity-mode
-	// paths (per-block checksums, dead-chunk poison; integrity.go). It is
-	// heap-side state on both backends — never part of the image format.
+	// paths (per-block checksums, dead-chunk poison; integrity.go).
 	integ *integrityState
 }
 
@@ -28,7 +29,7 @@ const storageChunk = PageSize
 // zeroChunk is the read source for untouched space.
 var zeroChunk [storageChunk]byte
 
-// NewStorage returns an empty heap-backed storage.
+// NewStorage returns an empty storage.
 func NewStorage() *Storage {
 	return &Storage{}
 }
@@ -40,10 +41,6 @@ func (s *Storage) Read(addr uint64, buf []byte) {
 	if s.integ != nil {
 		//thynvm:allow-alloc integrity lazily allocates per-chunk checksum tables, amortized to zero
 		s.integRead(addr, buf)
-		return
-	}
-	if s.mm != nil {
-		s.mm.read(addr, buf)
 		return
 	}
 	// Fast path: the range lies within one chunk (every block access does).
@@ -81,10 +78,6 @@ func (s *Storage) Write(addr uint64, data []byte) {
 		s.integWrite(addr, data)
 		return
 	}
-	if s.mm != nil {
-		s.mm.write(addr, data)
-		return
-	}
 	if off := addr % storageChunk; int(off)+len(data) <= storageChunk {
 		slot := s.chunks.Ref(addr / storageChunk)
 		if *slot == nil {
@@ -114,79 +107,27 @@ func (s *Storage) Write(addr uint64, data []byte) {
 
 // Clear discards all contents (a volatile device losing power).
 func (s *Storage) Clear() {
-	if s.mm != nil {
-		s.mm.clear()
-		return
-	}
 	s.chunks.Reset()
 }
 
 // FootprintBytes reports how many bytes of backing memory have been touched.
 func (s *Storage) FootprintBytes() uint64 {
-	if s.mm != nil {
-		return s.mm.touched * storageChunk
-	}
 	return uint64(s.chunks.Len()) * storageChunk
 }
 
 // Holds reports whether n bytes at addr lie inside the storage's address
 // space: the range ends at least a page below 2^64, so the block and chunk
-// walks over it cannot wrap, and on the mmap backend it fits the image's
-// capacity (reading past it panics). The heap backend's space is otherwise
-// unbounded.
+// walks over it cannot wrap. The space is otherwise unbounded.
 func (s *Storage) Holds(addr, n uint64) bool {
 	end := addr + n
-	return end >= addr && end <= ^uint64(0)-PageSize && (s.mm == nil || end <= s.mm.capB)
-}
-
-// touchedChunks counts chunks ever written.
-func (s *Storage) touchedChunks() int {
-	if s.mm != nil {
-		return int(s.mm.touched)
-	}
-	return s.chunks.Len()
-}
-
-// chunkAt returns the storage's view of a touched chunk, regardless of
-// backend.
-func (s *Storage) chunkAt(base uint64) ([]byte, bool) {
-	if s.mm != nil {
-		if !s.mm.isTouched(base) {
-			return nil, false
-		}
-		return s.mm.data[base*storageChunk : (base+1)*storageChunk], true
-	}
-	return s.chunks.Get(base)
-}
-
-// scanChunks calls f for every touched chunk, regardless of backend,
-// stopping early when f returns false. The heap backend scans in radix
-// (ascending index) order; the mmap backend in ascending index order.
-func (s *Storage) scanChunks(f func(base uint64, chunk []byte) bool) {
-	if s.mm != nil {
-		s.mm.scan(f)
-		return
-	}
-	s.chunks.Scan(f)
+	return end >= addr && end <= ^uint64(0)-PageSize
 }
 
 // Clone returns a deep copy of the storage, used by the verification oracle
-// to snapshot durable state at commit points. The clone is always
-// heap-backed — snapshots are in-memory values even when the source lives
-// in a mapped image.
+// to snapshot durable state at commit points.
 func (s *Storage) Clone() *Storage {
 	c := NewStorage()
-	backing := make([]byte, s.touchedChunks()*storageChunk)
-	if s.mm != nil {
-		s.mm.scan(func(base uint64, chunk []byte) bool {
-			dup := backing[:storageChunk:storageChunk]
-			backing = backing[storageChunk:]
-			copy(dup, chunk)
-			*c.chunks.Ref(base) = dup
-			return true
-		})
-		return c
-	}
+	backing := make([]byte, s.chunks.Len()*storageChunk)
 	c.chunks = *s.chunks.Clone(func(chunk []byte) []byte {
 		dup := backing[:storageChunk:storageChunk]
 		backing = backing[storageChunk:]
@@ -197,38 +138,26 @@ func (s *Storage) Clone() *Storage {
 }
 
 // Equal reports whether two storages hold identical contents over all
-// touched addresses of either. The two sides may use different backends —
-// this is how cross-backend runs prove their final images match.
+// touched addresses of either; a touched chunk of zeros equals an
+// untouched one.
 func (s *Storage) Equal(o *Storage) bool {
 	equal := true
-	s.scanChunks(func(base uint64, chunk []byte) bool {
-		oc, ok := o.chunkAt(base)
+	s.chunks.Scan(func(base uint64, chunk []byte) bool {
+		oc, ok := o.chunks.Get(base)
 		if !ok {
 			oc = zeroChunk[:]
 		}
-		equal = bytesEqual(chunk, oc)
+		equal = bytes.Equal(chunk, oc)
 		return equal
 	})
 	if !equal {
 		return false
 	}
-	o.scanChunks(func(base uint64, chunk []byte) bool {
-		if _, ok := s.chunkAt(base); !ok {
-			equal = bytesEqual(chunk, zeroChunk[:])
+	o.chunks.Scan(func(base uint64, chunk []byte) bool {
+		if _, ok := s.chunks.Get(base); !ok {
+			equal = bytes.Equal(chunk, zeroChunk[:])
 		}
 		return equal
 	})
 	return equal
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -131,4 +132,53 @@ func TestStorageQuickRoundTrip(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestStorageCostsWhatItTouches: storage written across a 256 GiB span
+// costs the chunks it touches, not the span. One block at each of 1,024
+// addresses spread evenly over the span and 1,024 contiguous chunks both
+// touch 4 MiB; the scattered layout also pays one radix leaf per chunk.
+func TestStorageCostsWhatItTouches(t *testing.T) {
+	const span, n = 256 << 30, 1024
+	var block [BlockSize]byte
+	for _, c := range []struct {
+		name  string
+		addr  func(i uint64) uint64
+		bound float64 // allocated bytes per touched byte
+	}{
+		{"scattered", func(i uint64) uint64 { return i * (span / n) }, 6},
+		{"contiguous", func(i uint64) uint64 { return i * storageChunk }, 1.1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var s *Storage
+			alloc := bytesPerRun(3, func() {
+				s = NewStorage()
+				for i := uint64(0); i < n; i++ {
+					s.Write(c.addr(i), block[:])
+				}
+			})
+			touched := uint64(n * storageChunk)
+			if got := s.FootprintBytes(); got != touched {
+				t.Errorf("FootprintBytes = %d, want %d", got, touched)
+			}
+			t.Logf("allocated %d bytes for %d touched (%.2fx)", alloc, touched, float64(alloc)/float64(touched))
+			if limit := c.bound * float64(touched); float64(alloc) > limit {
+				t.Errorf("allocated %d bytes for %d touched, over %.1fx", alloc, touched, c.bound)
+			}
+		})
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the average heap bytes
+// one call of f allocates, after a warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

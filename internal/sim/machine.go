@@ -84,14 +84,13 @@ func NewMachine(ctrl ctl.Controller, withCaches bool) *Machine {
 	return m
 }
 
-// SetRecorder attaches a telemetry recorder to the machine and, via
-// ctl.Attach, to its controller. It reports whether the controller accepted
-// the recorder (all in-tree controllers do). Pass nil to detach.
-func (m *Machine) SetRecorder(r obs.Recorder) bool {
+// SetRecorder attaches a telemetry recorder to the machine and its
+// controller. Pass nil to detach.
+func (m *Machine) SetRecorder(r obs.Recorder) {
 	m.rec = r
 	m.recOn = r != nil && r.Enabled()
 	m.hier.SetRecorder(r)
-	return ctl.Attach(m.ctrl, r)
+	m.ctrl.SetRecorder(r)
 }
 
 // Now returns the current simulated cycle.

@@ -57,20 +57,18 @@ type engine struct {
 	mediaEver bool // any media fault landed over the schedule's lifetime
 	halted    bool // an accepted unrecoverable refusal ended the schedule
 
-	// images holds an ideal system's crash-instant image and then its
-	// recovered one, a footprint each; allocated at the first crash and
-	// reused by every later one.
-	images []byte
+	// model is an ideal system's expected image: every write of the
+	// schedule applied in order to a zeroed footprint. recovered receives
+	// the image read back after each recovery.
+	model, recovered []byte
 	// payload stages each write's data and each read's destination.
 	payload []byte
 }
 
 // Run executes a schedule and reports its outcome. A non-nil error means
-// the schedule itself was invalid or its environment broke (e.g. an mmap
-// backend failing to release its image); consistency violations are
-// reported in Outcome.Violation so the campaign can log, replay and shrink
-// them.
-func Run(s *Schedule) (o *Outcome, err error) {
+// the schedule itself was invalid; consistency violations are reported in
+// Outcome.Violation so the campaign can log, replay and shrink them.
+func Run(s *Schedule) (*Outcome, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -79,10 +77,6 @@ func Run(s *Schedule) (o *Outcome, err error) {
 		return nil, err
 	}
 	isIdeal := kind == thynvm.SystemIdealDRAM || kind == thynvm.SystemIdealNVM
-	backend, err := mem.ParseBackend(s.Backend)
-	if err != nil {
-		return nil, err
-	}
 	sys, err := thynvm.NewSystem(kind, thynvm.Options{
 		PhysBytes:  s.PhysBytes,
 		EpochLen:   time.Duration(s.EpochNs) * time.Nanosecond,
@@ -92,11 +86,7 @@ func Run(s *Schedule) (o *Outcome, err error) {
 		// only holds when no volatile cache sits above the device; with
 		// caches the harness would lose dirty lines the premise says
 		// survive. Run them cacheless so the premise is checkable.
-		NoCaches: isIdeal,
-		// mmap-backed schedules exercise the whole crash/recover/verify
-		// cycle against a file-backed NVM image (temporary, removed by
-		// the deferred Close).
-		Backing:     thynvm.StorageSpec{Backend: backend},
+		NoCaches:    isIdeal,
 		Generations: s.Gens,
 		// Media-fault schedules need block checksums: without them media
 		// damage is undetectable by construction.
@@ -105,14 +95,12 @@ func Run(s *Schedule) (o *Outcome, err error) {
 	if err != nil {
 		return nil, err
 	}
-	// A Close failure (mmap munmap/unlink) must not pass as a clean outcome:
-	// the whole schedule ran against that backend.
-	defer func() {
-		if cerr := sys.Close(); cerr != nil && err == nil {
-			o, err = nil, cerr
-		}
-	}()
+	defer sys.Close()
 	e := &engine{s: s, sys: sys, o: verify.New(), ctrl: sys.Machine.Controller(), out: &Outcome{}, isID: isIdeal}
+	if isIdeal {
+		images := make([]byte, 2*s.Footprint)
+		e.model, e.recovered = images[:s.Footprint], images[s.Footprint:]
+	}
 
 	sys.Machine.PreCheckpoint = func(m *thynvm.Machine) {
 		e.o.Capture(m.Controller(), fmt.Sprintf("ckpt-%d", e.out.Checkpoints), m.Now())
@@ -213,6 +201,9 @@ func (e *engine) step(op *Op) error {
 		}
 		m.Write(addr, data)
 		e.o.RecordWrite(addr, op.Len)
+		if e.isID {
+			copy(e.model[addr:], data)
+		}
 	case OpRead:
 		addr := e.clampAddr(op.Addr, op.Len)
 		m.Read(addr, e.stage(op.Len))
@@ -245,15 +236,6 @@ func (e *engine) crash(op *Op) error {
 		// Adversarial placement: open a checkpoint and crash while its
 		// background drain is still in flight (ThyNVM's overlap window).
 		m.Checkpoint()
-	}
-
-	var idealImage []byte
-	if e.isID {
-		if e.images == nil {
-			e.images = make([]byte, 2*e.s.Footprint)
-		}
-		idealImage = e.images[:e.s.Footprint]
-		m.Peek(0, idealImage)
 	}
 
 	e.tearFired = false
@@ -310,10 +292,10 @@ func (e *engine) crash(op *Op) error {
 	}
 
 	if e.isID {
-		// Ideal systems preserve the crash-instant image by assumption.
-		after := e.images[e.s.Footprint:]
-		m.Peek(0, after)
-		if !bytes.Equal(after, idealImage) {
+		// Ideal systems preserve the crash-instant image by assumption:
+		// every write the schedule made, in order.
+		m.Peek(0, e.recovered)
+		if !bytes.Equal(e.recovered, e.model) {
 			e.out.Verdicts = append(e.out.Verdicts, "violation")
 			return fmt.Errorf("crash at cycle %d: ideal system lost the crash-instant image", crashAt)
 		}

@@ -126,7 +126,6 @@ type Op struct {
 type Schedule struct {
 	System    string // thynvm | idealdram | idealnvm | journal | shadow
 	Label     string
-	Backend   string // "" or heap | mmap (NVM storage backend)
 	PhysBytes uint64
 	EpochNs   uint64
 	BTT, PTT  int
@@ -176,9 +175,6 @@ func (s *Schedule) Encode() string {
 	fmt.Fprintf(&b, "system %s\n", s.System)
 	if s.Label != "" {
 		fmt.Fprintf(&b, "label %s\n", s.Label)
-	}
-	if s.Backend != "" && s.Backend != "heap" {
-		fmt.Fprintf(&b, "backend %s\n", s.Backend)
 	}
 	fmt.Fprintf(&b, "phys %d\n", s.PhysBytes)
 	fmt.Fprintf(&b, "epoch_ns %d\n", s.EpochNs)
@@ -302,11 +298,6 @@ func Parse(text string) (*Schedule, error) {
 				return nil, errf("want: label <name>")
 			}
 			s.Label = fields[1]
-		case "backend":
-			if len(fields) != 2 {
-				return nil, errf("want: backend <heap|mmap>")
-			}
-			s.Backend = fields[1]
 		case "phys":
 			if len(fields) != 2 {
 				return nil, errf("want: phys <bytes>")
@@ -499,9 +490,6 @@ func (s *Schedule) Validate() error {
 	case "thynvm", "idealdram", "idealnvm", "journal", "shadow":
 	default:
 		return fmt.Errorf("torture: unknown system %q", s.System)
-	}
-	if _, err := mem.ParseBackend(s.Backend); err != nil {
-		return fmt.Errorf("torture: schedule %q: %v", s.Label, err)
 	}
 	if s.PhysBytes == 0 || s.EpochNs == 0 || s.BTT <= 0 || s.PTT <= 0 {
 		return fmt.Errorf("torture: schedule %q: phys/epoch_ns/btt/ptt must be positive", s.Label)

@@ -14,9 +14,7 @@ func telemetryRun(t *testing.T, k thynvm.SystemKind) (jsonl, chrome, metrics, sp
 	t.Helper()
 	sys := thynvm.MustNewSystem(k, smallOpts())
 	col := obs.NewCollector()
-	if !sys.SetRecorder(col) {
-		t.Fatalf("%v: controller did not accept the recorder", k)
-	}
+	sys.SetRecorder(col)
 	res = sys.Run(thynvm.RandomWorkload(1<<20, 3000, 5))
 	sys.Drain()
 	var a, b, c, d bytes.Buffer
@@ -98,9 +96,7 @@ func TestEpochSeriesSumsToStats(t *testing.T) {
 		t.Run(k.String(), func(t *testing.T) {
 			sys := thynvm.MustNewSystem(k, smallOpts())
 			col := obs.NewCollector()
-			if !sys.SetRecorder(col) {
-				t.Fatalf("%v: controller did not accept the recorder", k)
-			}
+			sys.SetRecorder(col)
 			sys.Run(thynvm.RandomWorkload(1<<20, 3000, 5))
 			// Close the final partial epoch so its activity is sampled, and
 			// read the aggregate stats at that same instant.
@@ -149,9 +145,7 @@ func TestCycleAttributionExact(t *testing.T) {
 		t.Run(k.String(), func(t *testing.T) {
 			sys := thynvm.MustNewSystem(k, smallOpts())
 			col := obs.NewCollector()
-			if !sys.SetRecorder(col) {
-				t.Fatalf("%v: controller did not accept the recorder", k)
-			}
+			sys.SetRecorder(col)
 			sys.Run(thynvm.RandomWorkload(1<<20, 3000, 5))
 			// Close the final partial epoch so every cycle is attributed,
 			// then let any background drain commit.

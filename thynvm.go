@@ -61,10 +61,6 @@ type (
 	Machine = sim.Machine
 	// Mode selects a ThyNVM checkpointing scheme (Table 1 ablations).
 	Mode = core.Mode
-	// Backend selects the NVM storage backend (heap or mmap).
-	Backend = mem.Backend
-	// StorageSpec configures the NVM backing store (see Options.Backing).
-	StorageSpec = mem.StorageSpec
 	// RecoveryReport classifies the outcome of the most recent recovery
 	// (clean, fallback to an older generation, or a refused unrecoverable
 	// state). See Machine.LastRecovery.
@@ -84,15 +80,6 @@ const (
 // image: no retained checkpoint generation survived intact (or the media
 // under the recovered image failed verification). Test with errors.Is.
 var ErrUnrecoverable = ctl.ErrUnrecoverable
-
-// Storage backends for Options.Backing.
-const (
-	BackendHeap = mem.BackendHeap
-	BackendMmap = mem.BackendMmap
-)
-
-// ParseBackend resolves a storage backend name ("heap" or "mmap").
-func ParseBackend(s string) (Backend, error) { return mem.ParseBackend(s) }
 
 // Checkpointing scheme modes (see core.Mode).
 const (
@@ -197,12 +184,6 @@ type Options struct {
 	DisableCooperation bool
 	// NoCaches removes the CPU cache hierarchy (controller-level studies).
 	NoCaches bool
-	// Backing selects the storage backend for the system's persistent
-	// (NVM) device. The zero value is the heap backend, which is the
-	// byte-identical default; BackendMmap keeps the NVM image in a
-	// file-backed mapping (Capacity defaults to a generous multiple of
-	// PhysBytes, Path empty means a self-removing temporary file).
-	Backing StorageSpec
 	// Generations is the number of retained checkpoint generations for the
 	// checkpointing systems (ThyNVM, Journal, Shadow). 0 means the classic
 	// ping-pong pair; values in [2, 63] enable multi-generation recovery
@@ -240,9 +221,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.PTTEntries == 0 {
 		o.PTTEntries = d.PTTEntries
-	}
-	if o.Backing.Backend == mem.BackendMmap && o.Backing.Capacity == 0 {
-		o.Backing.Capacity = mem.DefaultMmapCapacity(o.PhysBytes)
 	}
 }
 
@@ -282,7 +260,6 @@ func NewSystem(kind SystemKind, opts Options) (*System, error) {
 		if cfg.SwitchToBlock > cfg.SwitchToPage {
 			cfg.SwitchToBlock = cfg.SwitchToPage
 		}
-		cfg.NVMBacking = opts.Backing
 		cfg.Generations = opts.Generations
 		cfg.Integrity = opts.Integrity
 		ctrl, err = core.New(cfg)
@@ -292,7 +269,6 @@ func NewSystem(kind SystemKind, opts Options) (*System, error) {
 		cfg.EpochLen = epoch
 		cfg.JournalEntries = opts.BTTEntries + opts.PTTEntries
 		cfg.DRAMPages = opts.PTTEntries
-		cfg.NVMBacking = opts.Backing
 		cfg.Generations = opts.Generations
 		cfg.Integrity = opts.Integrity
 		switch kind {
@@ -336,30 +312,13 @@ func (s *System) Options() Options { return s.opts }
 // verification (VerifyRange).
 func (s *System) NVMStorage() *mem.Storage { return s.ctrl.NVMStorage() }
 
-// SyncStorage flushes an mmap-backed NVM image to its file (a no-op on the
-// heap backend).
-func (s *System) SyncStorage() error { return s.NVMStorage().Sync() }
-
-// SnapshotStorage writes a standalone copy of an mmap-backed NVM image to
-// path; it errors on the heap backend.
-func (s *System) SnapshotStorage(path string) error { return s.NVMStorage().Snapshot(path) }
-
 // Close releases the system: its cache levels go back to the pool the next
-// system's hierarchy reuses them from, and on the mmap backend its NVM
-// image is unmapped (removing auto-created temporary files). The system
-// must not be used afterwards; a second Close does nothing.
+// system's hierarchy reuses them from. The system must not be used
+// afterwards; a second Close does nothing. It always returns nil.
 func (s *System) Close() error {
 	s.Caches().Release()
-	return s.NVMStorage().Close()
+	return nil
 }
-
-// NVMImagePath reports the mmap image file backing the NVM device, or ""
-// for the heap backend.
-func (s *System) NVMImagePath() string { return s.NVMStorage().ImagePath() }
-
-// NVMFootprintBytes reports how many bytes of NVM backing store have been
-// touched (resident footprint for the mmap backend).
-func (s *System) NVMFootprintBytes() uint64 { return s.NVMStorage().FootprintBytes() }
 
 // Crash models a power failure at the current cycle.
 func (s *System) Crash() Cycle { return s.CrashNow() }

@@ -602,16 +602,20 @@ func (d *Device) Crash(at Cycle) {
 	// durability order there), drop the rest. The heap is about to be
 	// emptied, so sort it into posting order in place: torn-persist
 	// injectors depend on seeing in-flight writes in the order they were
-	// posted.
+	// posted. A volatile device loses what it would apply, so it applies
+	// nothing, but still offers its in-flight writes to the hook.
 	slices.SortFunc(d.heap, bySeq)
+	nonVolatile := !d.spec.Volatile
 	for _, e := range d.heap {
 		s := &d.slots[e.slot]
 		if e.done <= at {
-			d.store.Write(s.addr, s.buf)
+			if nonVolatile {
+				d.store.Write(s.addr, s.buf)
+			}
 		} else if d.crashFault != nil {
 			// In flight at the crash instant: normally lost outright, but a
 			// torn-persist injector may keep a partial/corrupted payload.
-			if keep := d.crashFault(s.addr, s.buf); len(keep) > 0 {
+			if keep := d.crashFault(s.addr, s.buf); len(keep) > 0 && nonVolatile {
 				d.store.Write(s.addr, keep)
 			}
 		}

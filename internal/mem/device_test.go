@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -175,6 +176,58 @@ func TestVolatileDeviceLosesAllOnCrash(t *testing.T) {
 		if b != 0 {
 			t.Fatal("volatile device retained contents across crash")
 		}
+	}
+}
+
+// TestVolatileCrashAppliesNothing: a volatile device that crashes with
+// posted writes, some durable by the crash instant and some in flight,
+// writes none of them into the store it loses: the store is empty
+// afterwards, the crash hook is still offered each in-flight write, and a
+// refill reuses the store's nodes and chunks, allocating nothing.
+func TestVolatileCrashAppliesNothing(t *testing.T) {
+	d := NewDevice(DRAMSpec())
+	data := bytes.Repeat([]byte{0x3c}, BlockSize)
+	var durable, offered int
+	d.SetCrashFault(func(uint64, []byte) []byte {
+		offered++
+		return data // a non-volatile device would persist this
+	})
+	// Sixteen pages settle into the store, then sixteen more are posted
+	// and the crash lands between their first and last completions.
+	cycle := func() {
+		for i := uint64(0); i < 16; i++ {
+			d.Write(0, i*PageSize, data, SrcCPU)
+		}
+		now := d.Flush(0)
+		var dones [16]Cycle
+		for i := range dones {
+			_, dones[i] = d.WriteAt(now, now, uint64(16+i)*PageSize, data, SrcCPU)
+		}
+		at := (slices.Min(dones[:]) + slices.Max(dones[:])) / 2
+		durable, offered = 0, 0
+		for _, done := range dones {
+			if done <= at {
+				durable++
+			}
+		}
+		d.Crash(at)
+	}
+	cycle()
+	if durable == 0 || offered == 0 || durable+offered != 16 {
+		t.Fatalf("crash saw %d durable and %d in-flight writes, want both of 16", durable, offered)
+	}
+	if got := d.Storage().FootprintBytes(); got != 0 {
+		t.Errorf("FootprintBytes after a volatile crash = %d, want 0", got)
+	}
+	buf := make([]byte, BlockSize)
+	for i := uint64(0); i < 32; i++ {
+		d.Peek(i*PageSize, buf)
+		if !bytes.Equal(buf, make([]byte, BlockSize)) {
+			t.Fatalf("page %d survived a volatile crash", i)
+		}
+	}
+	if got := bytesPerRun(3, cycle); got != 0 {
+		t.Errorf("refilling and crashing again allocated %d bytes, want 0", got)
 	}
 }
 

@@ -33,8 +33,8 @@ type IntegrityCounters struct {
 // integrityState carries per-block checksums and media-fault state,
 // metadata parallel to the chunks.
 type integrityState struct {
-	sums radix.Table[[]uint64] // per chunk: blocksPerChunk Checksum sums
-	dead radix.Table[bool]     // chunk base -> uncorrectable
+	sums radix.Table[*[blocksPerChunk]uint64] // per chunk: its blocks' Checksum sums
+	dead radix.Table[bool]                    // chunk base -> uncorrectable
 
 	zeroSum uint64 // checksum of an all-zero block
 	cursor  uint64 // next chunk base the incremental scrub visits
@@ -64,8 +64,8 @@ func (s *Storage) EnableIntegrity() {
 	}
 	st := &integrityState{zeroSum: Checksum(zeroChunk[:BlockSize])}
 	s.integ = st
-	s.chunks.Scan(func(base uint64, chunk []byte) bool {
-		st.resum(base, chunk)
+	s.chunks.Scan(func(base uint64, c *chunk) bool {
+		st.resum(base, c)
 		return true
 	})
 }
@@ -82,10 +82,10 @@ func (s *Storage) IntegrityCounters() IntegrityCounters {
 }
 
 // sumsFor returns (allocating if needed) the checksum array of one chunk.
-func (st *integrityState) sumsFor(base uint64) []uint64 {
+func (st *integrityState) sumsFor(base uint64) *[blocksPerChunk]uint64 {
 	slot := st.sums.Ref(base)
 	if *slot == nil {
-		sums := make([]uint64, blocksPerChunk)
+		sums := new([blocksPerChunk]uint64)
 		for i := range sums {
 			sums[i] = st.zeroSum
 		}
@@ -95,10 +95,10 @@ func (st *integrityState) sumsFor(base uint64) []uint64 {
 }
 
 // resum recomputes every block checksum of one chunk from its contents.
-func (st *integrityState) resum(base uint64, chunk []byte) {
+func (st *integrityState) resum(base uint64, c *chunk) {
 	sums := st.sumsFor(base)
-	for i := 0; i < blocksPerChunk; i++ {
-		sums[i] = Checksum(chunk[i*BlockSize : (i+1)*BlockSize])
+	for i := range sums {
+		sums[i] = Checksum(c[i*BlockSize : (i+1)*BlockSize])
 	}
 }
 
@@ -117,13 +117,13 @@ func (s *Storage) integWrite(addr uint64, data []byte) {
 		}
 		slot := s.chunks.Ref(base)
 		if *slot == nil {
-			*slot = make([]byte, storageChunk)
+			*slot = s.newChunk()
 		}
-		chunk := *slot
-		copy(chunk[off:off+n], data[:n])
+		c := *slot
+		copy(c[off:off+n], data[:n])
 		sums := st.sumsFor(base)
 		for b := off / BlockSize; b*BlockSize < off+n; b++ {
-			sums[b] = Checksum(chunk[b*BlockSize : (b+1)*BlockSize])
+			sums[b] = Checksum(c[b*BlockSize : (b+1)*BlockSize])
 		}
 		data = data[n:]
 		addr += uint64(n)
@@ -151,13 +151,13 @@ func (s *Storage) integRead(addr uint64, buf []byte) {
 				buf[i] = deadPoison
 			}
 			st.counters.ReadFailures++
-		} else if chunk, ok := s.chunks.Get(base); ok {
-			copy(buf[pos:pos+n], chunk[off:off+n])
+		} else if c, ok := s.chunks.Get(base); ok {
+			copy(buf[pos:pos+n], c[off:off+n])
 			sums := st.sumsFor(base)
 			first := (off + BlockSize - 1) / BlockSize
 			last := (off + n) / BlockSize
 			for b := first; b < last; b++ {
-				if Checksum(chunk[b*BlockSize:(b+1)*BlockSize]) != sums[b] {
+				if Checksum(c[b*BlockSize:(b+1)*BlockSize]) != sums[b] {
 					st.counters.ReadFailures++
 				}
 			}
@@ -178,12 +178,12 @@ func (s *Storage) VerifyRange(lo, hi uint64) []uint64 {
 	}
 	st := s.integ
 	var fails []uint64
-	s.chunks.Scan(func(base uint64, chunk []byte) bool {
+	s.chunks.Scan(func(base uint64, c *chunk) bool {
 		cLo, cHi := base*storageChunk, (base+1)*storageChunk
 		if cHi <= lo || cLo >= hi {
 			return true
 		}
-		fails = st.verifyChunk(base, chunk, fails)
+		fails = st.verifyChunk(base, c, fails)
 		return true
 	})
 	// Dead chunks may sit outside the touched set view (heap chunks always
@@ -206,7 +206,7 @@ func (s *Storage) VerifyRange(lo, hi uint64) []uint64 {
 }
 
 // verifyChunk scrubs one chunk, appending failing block addresses.
-func (st *integrityState) verifyChunk(base uint64, chunk []byte, fails []uint64) []uint64 {
+func (st *integrityState) verifyChunk(base uint64, c *chunk, fails []uint64) []uint64 {
 	if dead, _ := st.dead.Get(base); dead {
 		st.counters.ScrubChecks += blocksPerChunk
 		st.counters.ScrubFailures++
@@ -215,7 +215,7 @@ func (st *integrityState) verifyChunk(base uint64, chunk []byte, fails []uint64)
 	sums := st.sumsFor(base)
 	for b := 0; b < blocksPerChunk; b++ {
 		st.counters.ScrubChecks++
-		if Checksum(chunk[b*BlockSize:(b+1)*BlockSize]) != sums[b] {
+		if Checksum(c[b*BlockSize:(b+1)*BlockSize]) != sums[b] {
 			st.counters.ScrubFailures++
 			fails = append(fails, base*storageChunk+uint64(b)*BlockSize)
 		}
@@ -235,11 +235,11 @@ func (s *Storage) ScrubStep(budget int, limit uint64) (scanned int, fails []uint
 	wrapped := false
 	for scanned < budget {
 		advanced := false
-		s.chunks.Scan(func(base uint64, chunk []byte) bool {
+		s.chunks.Scan(func(base uint64, c *chunk) bool {
 			if base < st.cursor || base*storageChunk >= limit {
 				return true
 			}
-			fails = st.verifyChunk(base, chunk, fails)
+			fails = st.verifyChunk(base, c, fails)
 			st.cursor = base + 1
 			scanned++
 			advanced = true
@@ -274,7 +274,7 @@ func splitmix64(state *uint64) uint64 {
 // deterministic sample space for fault placement.
 func (s *Storage) touchedBases() []uint64 {
 	bases := make([]uint64, 0, s.chunks.Len())
-	s.chunks.Scan(func(base uint64, _ []byte) bool {
+	s.chunks.Scan(func(base uint64, _ *chunk) bool {
 		bases = append(bases, base)
 		return true
 	})
@@ -295,11 +295,11 @@ func (s *Storage) InjectBitRot(seed uint64, count int) []uint64 {
 	for i := 0; i < count; i++ {
 		base := bases[splitmix64(&state)%uint64(len(bases))]
 		bit := splitmix64(&state) % (storageChunk * 8)
-		chunk, ok := s.chunks.Get(base)
+		c, ok := s.chunks.Get(base)
 		if !ok {
 			continue
 		}
-		chunk[bit/8] ^= 1 << (bit % 8)
+		c[bit/8] ^= 1 << (bit % 8)
 		hit = append(hit, base*storageChunk+BlockAlign(bit/8))
 	}
 	return hit

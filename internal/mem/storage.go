@@ -1,10 +1,6 @@
 package mem
 
-import (
-	"bytes"
-
-	"thynvm/internal/radix"
-)
+import "thynvm/internal/radix"
 
 // Storage is a sparse, byte-accurate backing store for a device's hardware
 // address space. Unwritten bytes read as zero, so a multi-gigabyte address
@@ -14,9 +10,12 @@ import (
 // Chunks are indexed by a radix table rather than a map: the chunk index
 // is dense near zero (physical frames are bump-allocated), so a lookup is
 // a few array indexations, and the table's MRU leaf memo makes the common
-// run of accesses to neighboring chunks a single indexation.
+// run of accesses to neighboring chunks a single indexation. Clear keeps
+// the table's nodes and its chunks, so a volatile device refilled after a
+// crash allocates nothing for the space it touched before.
 type Storage struct {
-	chunks radix.Table[[]byte]
+	chunks radix.Table[*chunk]
+	spare  []*chunk // chunks Clear released, reused before allocating
 
 	// integ, when non-nil, switches Read/Write onto the integrity-mode
 	// paths (per-block checksums, dead-chunk poison; integrity.go).
@@ -26,8 +25,12 @@ type Storage struct {
 // storageChunk is the allocation unit of Storage.
 const storageChunk = PageSize
 
+// chunk is one storageChunk-sized run of contents. A fixed-size array
+// keeps a chunk table's leaf at one pointer per slot, not a slice header.
+type chunk = [storageChunk]byte
+
 // zeroChunk is the read source for untouched space.
-var zeroChunk [storageChunk]byte
+var zeroChunk chunk
 
 // NewStorage returns an empty storage.
 func NewStorage() *Storage {
@@ -82,7 +85,7 @@ func (s *Storage) Write(addr uint64, data []byte) {
 		slot := s.chunks.Ref(addr / storageChunk)
 		if *slot == nil {
 			//thynvm:allow-alloc lazy chunk allocation, once per touched chunk
-			*slot = make([]byte, storageChunk)
+			*slot = s.newChunk()
 		}
 		copy((*slot)[off:], data)
 		return
@@ -97,7 +100,7 @@ func (s *Storage) Write(addr uint64, data []byte) {
 		slot := s.chunks.Ref(base)
 		if *slot == nil {
 			//thynvm:allow-alloc lazy chunk allocation, once per touched chunk
-			*slot = make([]byte, storageChunk)
+			*slot = s.newChunk()
 		}
 		copy((*slot)[off:off+n], data[:n])
 		data = data[n:]
@@ -105,9 +108,26 @@ func (s *Storage) Write(addr uint64, data []byte) {
 	}
 }
 
-// Clear discards all contents (a volatile device losing power).
+// newChunk returns a zeroed chunk for a first write: one Clear released
+// if there is one, else a new one.
+func (s *Storage) newChunk() *chunk {
+	if k := len(s.spare) - 1; k >= 0 {
+		c := s.spare[k]
+		s.spare = s.spare[:k]
+		*c = chunk{}
+		return c
+	}
+	return new(chunk)
+}
+
+// Clear discards all contents (a volatile device losing power). The
+// table's nodes and the chunks are kept for the writes that follow.
 func (s *Storage) Clear() {
-	s.chunks.Reset()
+	s.chunks.Scan(func(_ uint64, c *chunk) bool {
+		s.spare = append(s.spare, c)
+		return true
+	})
+	s.chunks.Clear()
 }
 
 // FootprintBytes reports how many bytes of backing memory have been touched.
@@ -127,11 +147,11 @@ func (s *Storage) Holds(addr, n uint64) bool {
 // to snapshot durable state at commit points.
 func (s *Storage) Clone() *Storage {
 	c := NewStorage()
-	backing := make([]byte, s.chunks.Len()*storageChunk)
-	c.chunks = *s.chunks.Clone(func(chunk []byte) []byte {
-		dup := backing[:storageChunk:storageChunk]
-		backing = backing[storageChunk:]
-		copy(dup, chunk)
+	slab := make([]chunk, s.chunks.Len())
+	c.chunks = *s.chunks.Clone(func(src *chunk) *chunk {
+		dup := &slab[0]
+		slab = slab[1:]
+		*dup = *src
 		return dup
 	})
 	return c
@@ -142,20 +162,20 @@ func (s *Storage) Clone() *Storage {
 // untouched one.
 func (s *Storage) Equal(o *Storage) bool {
 	equal := true
-	s.chunks.Scan(func(base uint64, chunk []byte) bool {
+	s.chunks.Scan(func(base uint64, c *chunk) bool {
 		oc, ok := o.chunks.Get(base)
 		if !ok {
-			oc = zeroChunk[:]
+			oc = &zeroChunk
 		}
-		equal = bytes.Equal(chunk, oc)
+		equal = *c == *oc
 		return equal
 	})
 	if !equal {
 		return false
 	}
-	o.chunks.Scan(func(base uint64, chunk []byte) bool {
+	o.chunks.Scan(func(base uint64, c *chunk) bool {
 		if _, ok := s.chunks.Get(base); !ok {
-			equal = bytes.Equal(chunk, zeroChunk[:])
+			equal = *c == zeroChunk
 		}
 		return equal
 	})

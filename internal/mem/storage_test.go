@@ -137,7 +137,8 @@ func TestStorageQuickRoundTrip(t *testing.T) {
 // TestStorageCostsWhatItTouches: storage written across a 256 GiB span
 // costs the chunks it touches, not the span. One block at each of 1,024
 // addresses spread evenly over the span and 1,024 contiguous chunks both
-// touch 4 MiB; the scattered layout also pays one radix leaf per chunk.
+// touch 4 MiB; the scattered layout also pays one radix leaf of chunk
+// pointers per chunk and its share of the mids.
 func TestStorageCostsWhatItTouches(t *testing.T) {
 	const span, n = 256 << 30, 1024
 	var block [BlockSize]byte
@@ -146,7 +147,7 @@ func TestStorageCostsWhatItTouches(t *testing.T) {
 		addr  func(i uint64) uint64
 		bound float64 // allocated bytes per touched byte
 	}{
-		{"scattered", func(i uint64) uint64 { return i * (span / n) }, 6},
+		{"scattered", func(i uint64) uint64 { return i * (span / n) }, 3.5},
 		{"contiguous", func(i uint64) uint64 { return i * storageChunk }, 1.1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -166,6 +167,44 @@ func TestStorageCostsWhatItTouches(t *testing.T) {
 				t.Errorf("allocated %d bytes for %d touched, over %.1fx", alloc, touched, c.bound)
 			}
 		})
+	}
+}
+
+// TestStorageClearKeepsChunks: Clear empties the storage but keeps its
+// nodes and chunks, so rewriting the chunks it held allocates nothing, and
+// the bytes a rewrite does not cover read as zero.
+func TestStorageClearKeepsChunks(t *testing.T) {
+	bases := []uint64{0, 1, 2, 7, 1 << 11, 1 << 24} // chunk indices, across mids
+	s := NewStorage()
+	full := bytes.Repeat([]byte{0xa5}, storageChunk)
+	for _, b := range bases {
+		s.Write(b*storageChunk, full)
+	}
+	s.Clear()
+	if got := s.FootprintBytes(); got != 0 {
+		t.Fatalf("FootprintBytes after Clear = %d, want 0", got)
+	}
+	block := bytes.Repeat([]byte{0x5a}, BlockSize)
+	rewrite := func() {
+		for _, b := range bases {
+			s.Write(b*storageChunk+BlockSize, block)
+		}
+	}
+	if got := bytesPerRun(3, func() { rewrite(); s.Clear() }); got != 0 {
+		t.Errorf("rewriting %d cleared chunks allocated %d bytes, want 0", len(bases), got)
+	}
+	rewrite()
+	if got, want := s.FootprintBytes(), uint64(len(bases))*storageChunk; got != want {
+		t.Errorf("FootprintBytes after rewrite = %d, want %d", got, want)
+	}
+	want := make([]byte, storageChunk)
+	copy(want[BlockSize:], block)
+	got := make([]byte, storageChunk)
+	for _, b := range bases {
+		s.Read(b*storageChunk, got)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("chunk %d after Clear and a one-block rewrite holds stale bytes", b)
+		}
 	}
 }
 

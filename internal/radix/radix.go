@@ -5,10 +5,13 @@
 // backing-store chunks) with a bump-allocated tail, so a radix layout —
 // a growable root directory of mid-level nodes of fixed-size leaves —
 // turns every lookup into a few array indexations with no hashing, while
-// keeping memory proportional to the touched key range. A single-entry MRU
-// memo in front of the directory walk exploits the dominant access pattern
-// (consecutive accesses landing in the same leaf: the same block, page, or
-// chunk neighborhood), reducing the common case to one indexation.
+// keeping memory proportional to the touched key range. A mid-level node
+// is a slice of leaf pointers grown on demand, so a table whose keys fit
+// in one leaf costs that leaf and a few words of directory. A single-entry
+// MRU memo in front of the directory walk exploits the dominant access
+// pattern (consecutive accesses landing in the same leaf: the same block,
+// page, or chunk neighborhood), reducing the common case to one
+// indexation.
 //
 // Iteration (Scan) visits keys in ascending order by construction, using
 // per-leaf occupancy bitmaps, so callers that previously collected map
@@ -21,16 +24,19 @@ package radix
 import "math/bits"
 
 const (
-	// leafBits sizes each leaf at 2^leafBits slots. 512 slots keeps a
-	// pointer-valued leaf around 4 KB — one OS page — and means a leaf
-	// covers 32 KB of block-indexed or 2 MB of page-indexed address space.
+	// leafBits sizes each leaf at 2^leafBits slots, so a leaf covers 32 KB
+	// of block-indexed or 2 MB of page-indexed address space. Its bytes
+	// depend on the value type: 512 slots keep a pointer- or uint64-valued
+	// leaf around 4 KB — one OS page — a uint32-valued one around 2 KB,
+	// and a slice-valued one at three times a pointer's.
 	leafBits = 9
 	leafSize = 1 << leafBits
 	leafMask = leafSize - 1
 
-	// midBits sizes the mid-level nodes: 2048 leaves each, so one mid node
-	// spans 2^20 keys and the root directory stays tiny (one pointer per
-	// million keys) even for bump-allocated tails far from zero.
+	// midBits caps the mid-level nodes at 2048 leaves, so one mid node
+	// spans 2^20 keys and the root directory stays tiny (one slice header
+	// per million keys) even for bump-allocated tails far from zero. A
+	// mid grows by doubling up to the cap as its keys need it.
 	midBits = 11
 	midSize = 1 << midBits
 	midMask = midSize - 1
@@ -48,14 +54,10 @@ type leaf[V any] struct {
 	val  [leafSize]V
 }
 
-type mid[V any] struct {
-	leaves [midSize]*leaf[V]
-}
-
 // Table is a sparse uint64-keyed table. The zero value is empty and ready
 // to use.
 type Table[V any] struct {
-	root []*mid[V]
+	root [][]*leaf[V] // mid-level nodes: up to midSize leaves each
 	n    int
 	memo *leaf[V] // leaf of the most recently accessed key, or nil
 	hi   uint64   // key >> leafBits for memo
@@ -69,11 +71,11 @@ func (t *Table[V]) Len() int { return t.n }
 //
 //thynvm:hotpath
 func (t *Table[V]) lookupLeaf(hi uint64) *leaf[V] {
-	ri := hi >> midBits
-	if ri >= uint64(len(t.root)) || t.root[ri] == nil {
+	ri, mi := hi>>midBits, hi&midMask
+	if ri >= uint64(len(t.root)) || mi >= uint64(len(t.root[ri])) {
 		return nil
 	}
-	l := t.root[ri].leaves[hi&midMask]
+	l := t.root[ri][mi]
 	if l != nil {
 		t.memo, t.hi = l, hi
 	}
@@ -158,10 +160,7 @@ func (t *Table[V]) Reset() { *t = Table[V]{} }
 // epochs (per-epoch store counters) use this instead of Reset.
 func (t *Table[V]) Clear() {
 	for _, m := range t.root {
-		if m == nil {
-			continue
-		}
-		for _, l := range m.leaves {
+		for _, l := range m {
 			if l != nil {
 				*l = leaf[V]{}
 			}
@@ -179,21 +178,27 @@ func (t *Table[V]) leafFor(k uint64) *leaf[V] {
 	if t.memo != nil && hi == t.hi {
 		return t.memo
 	}
-	ri := hi >> midBits
+	ri, mi := hi>>midBits, int(hi&midMask)
 	if ri >= uint64(len(t.root)) {
-		root := make([]*mid[V], ri+1)
+		root := make([][]*leaf[V], ri+1)
 		copy(root, t.root)
 		t.root = root
 	}
 	m := t.root[ri]
-	if m == nil {
-		m = new(mid[V])
+	if mi >= len(m) {
+		n := max(2*len(m), 1)
+		for n <= mi {
+			n *= 2
+		}
+		grown := make([]*leaf[V], min(n, midSize))
+		copy(grown, m)
+		m = grown
 		t.root[ri] = m
 	}
-	l := m.leaves[hi&midMask]
+	l := m[mi]
 	if l == nil {
 		l = new(leaf[V])
-		m.leaves[hi&midMask] = l
+		m[mi] = l
 	}
 	t.memo, t.hi = l, hi
 	return l
@@ -205,10 +210,7 @@ func (t *Table[V]) leafFor(k uint64) *leaf[V] {
 // other keys during the scan.
 func (t *Table[V]) Scan(f func(k uint64, v V) bool) {
 	for ri, m := range t.root {
-		if m == nil {
-			continue
-		}
-		for mi, l := range m.leaves {
+		for mi, l := range m {
 			if l == nil || l.n == 0 {
 				continue
 			}
@@ -238,24 +240,23 @@ func (t *Table[V]) Keys() []uint64 {
 	return out
 }
 
-// Clone returns a deep-enough copy of the table: the directory and leaves
-// are duplicated, and each value is passed through dup (nil for value
-// types; duplicate referenced storage for slices).
+// Clone returns a deep-enough copy of the table: the directory and the
+// leaves holding keys are duplicated, and each value is passed through dup
+// (nil for value types; duplicate referenced storage for pointers and
+// slices). Empty leaves, which Delete and Clear keep, are not copied.
 func (t *Table[V]) Clone(dup func(V) V) *Table[V] {
 	c := &Table[V]{n: t.n}
-	if len(t.root) == 0 {
+	if t.n == 0 {
 		return c
 	}
-	c.root = make([]*mid[V], len(t.root))
+	c.root = make([][]*leaf[V], len(t.root))
 	for ri, m := range t.root {
-		if m == nil {
-			continue
-		}
-		nm := new(mid[V])
-		c.root[ri] = nm
-		for mi, l := range m.leaves {
-			if l == nil {
+		for mi, l := range m {
+			if l == nil || l.n == 0 {
 				continue
+			}
+			if c.root[ri] == nil {
+				c.root[ri] = make([]*leaf[V], len(m))
 			}
 			nl := new(leaf[V])
 			nl.bits = l.bits
@@ -273,7 +274,7 @@ func (t *Table[V]) Clone(dup func(V) V) *Table[V] {
 					}
 				}
 			}
-			nm.leaves[mi] = nl
+			c.root[ri][mi] = nl
 		}
 	}
 	return c

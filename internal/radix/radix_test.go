@@ -2,8 +2,10 @@ package radix
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // TestDifferentialVsMap drives a Table and a plain map with the same random
@@ -201,6 +203,76 @@ func TestClearRetainsStructure(t *testing.T) {
 	if v, ok := tab.Get(74); !ok || v != 0 {
 		t.Fatalf("Get(74) after Clear = %d,%v; want 0,true", v, ok)
 	}
+}
+
+// TestTableCostsWhatItTouches pins the cost model: a mid grows with the
+// keys it holds, so a table whose keys fit in one leaf costs that leaf
+// and a few words of directory, and a far key costs one root slot per
+// 2^20 keys below it, not a node per 2^(leafBits+midBits) of a smaller mid.
+func TestTableCostsWhatItTouches(t *testing.T) {
+	leafBytes := uint64(unsafe.Sizeof(leaf[uint64]{}))
+	// 1 KiB covers the root and mid slices and the allocator rounding the
+	// leaf up to its size class; a fixed 2,048-pointer mid is 16 KiB.
+	if got := bytesPerRun(3, func() {
+		var tab Table[uint64]
+		for k := uint64(0); k < leafSize; k++ {
+			tab.Set(k, k)
+		}
+	}); got > leafBytes+1024 {
+		t.Errorf("keys 0-%d allocated %d bytes, want at most one %d-byte leaf plus 1 KiB", leafSize-1, got, leafBytes)
+	}
+	if got := bytesPerRun(1, func() {
+		var tab Table[uint64]
+		tab.Set(1<<40, 1)
+	}); got > 32<<20 {
+		t.Errorf("one key at 2^40 allocated %d bytes, want under 32 MiB", got)
+	}
+}
+
+// TestCloneSkipsEmptyLeaves: Clear and Delete keep emptied leaves for
+// reuse, but a clone copies only the leaves that hold keys.
+func TestCloneSkipsEmptyLeaves(t *testing.T) {
+	var tab Table[uint64]
+	for k := uint64(0); k < 4*leafSize; k++ {
+		tab.Set(k, k+1)
+	}
+	tab.Clear()
+	leafBytes := uint64(unsafe.Sizeof(leaf[uint64]{}))
+	if got := bytesPerRun(3, func() { tab.Clone(nil) }); got >= leafBytes {
+		t.Errorf("cloning a cleared table allocated %d bytes, want less than one %d-byte leaf", got, leafBytes)
+	}
+
+	tab.Set(3, 4)
+	tab.Set(2*leafSize+5, 6)
+	tab.Delete(3)
+	c := tab.Clone(nil)
+	if got := c.Keys(); len(got) != 1 || got[0] != 2*leafSize+5 {
+		t.Fatalf("clone holds keys %v, want [%d]", got, 2*leafSize+5)
+	}
+	if v, ok := c.Get(2*leafSize + 5); !ok || v != 6 {
+		t.Fatalf("clone Get = %d,%v; want 6,true", v, ok)
+	}
+	if _, ok := c.Get(3); ok {
+		t.Fatal("clone holds a deleted key")
+	}
+	c.Set(leafSize+1, 9) // a clone grows like any table
+	if v, ok := c.Get(leafSize + 1); !ok || v != 9 || c.Len() != 2 {
+		t.Fatalf("clone after Set: Get = %d,%v, Len = %d", v, ok, c.Len())
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the average heap bytes
+// one call of f allocates, after a warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 func BenchmarkTableGetHit(b *testing.B) {

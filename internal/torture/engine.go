@@ -58,10 +58,10 @@ type engine struct {
 	halted    bool // an accepted unrecoverable refusal ended the schedule
 
 	// model is an ideal system's expected image: every write of the
-	// schedule applied in order to a zeroed footprint. recovered receives
-	// the image read back after each recovery.
-	model, recovered []byte
-	// payload stages each write's data and each read's destination.
+	// schedule applied in order to a zeroed footprint.
+	model []byte
+	// payload stages each write's data, each read's destination and the
+	// pages an ideal system's crash check reads back.
 	payload []byte
 }
 
@@ -98,8 +98,7 @@ func Run(s *Schedule) (*Outcome, error) {
 	defer sys.Close()
 	e := &engine{s: s, sys: sys, o: verify.New(), ctrl: sys.Machine.Controller(), out: &Outcome{}, isID: isIdeal}
 	if isIdeal {
-		images := make([]byte, 2*s.Footprint)
-		e.model, e.recovered = images[:s.Footprint], images[s.Footprint:]
+		e.model = make([]byte, s.Footprint)
 	}
 
 	sys.Machine.PreCheckpoint = func(m *thynvm.Machine) {
@@ -293,11 +292,16 @@ func (e *engine) crash(op *Op) error {
 
 	if e.isID {
 		// Ideal systems preserve the crash-instant image by assumption:
-		// every write the schedule made, in order.
-		m.Peek(0, e.recovered)
-		if !bytes.Equal(e.recovered, e.model) {
-			e.out.Verdicts = append(e.out.Verdicts, "violation")
-			return fmt.Errorf("crash at cycle %d: ideal system lost the crash-instant image", crashAt)
+		// every write the schedule made, in order. Read it back a page at
+		// a time.
+		page := e.stage(mem.PageSize)
+		for addr := uint64(0); addr < e.s.Footprint; addr += mem.PageSize {
+			want := e.model[addr:min(addr+mem.PageSize, e.s.Footprint)]
+			m.Peek(addr, page[:len(want)])
+			if !bytes.Equal(page[:len(want)], want) {
+				e.out.Verdicts = append(e.out.Verdicts, "violation")
+				return fmt.Errorf("crash at cycle %d: ideal system lost the crash-instant image", crashAt)
+			}
 		}
 		e.out.Matches++
 		e.out.Clean++

@@ -208,6 +208,29 @@ func TestShadowDRAMPressureFlushes(t *testing.T) {
 	}
 }
 
+// TestShadowEvictsLowestCleanPage: a full DRAM buffer gives up the slot of
+// the clean buffered page with the lowest index, whatever order the pages
+// were buffered in.
+func TestShadowEvictsLowestCleanPage(t *testing.T) {
+	cfg := testConfig()
+	cfg.DRAMPages = 3
+	sh, _ := NewShadow(cfg)
+	now := mem.Cycle(0)
+	for _, p := range []uint64{2, 0, 1} {
+		now = sh.WriteBlock(now, p*mem.PageSize, blockOf(byte(p+1)))
+	}
+	now = sh.BeginCheckpoint(now, nil) // all three clean, still buffered
+	now = sh.WriteBlock(now, 3*mem.PageSize, blockOf(4))
+	buf := make([]byte, mem.BlockSize)
+	for p := uint64(0); p < 3; p++ {
+		before := sh.Stats().DRAM.Reads
+		sh.ReadBlock(now, p*mem.PageSize, buf)
+		if buffered := sh.Stats().DRAM.Reads > before; buffered != (p != 0) {
+			t.Errorf("page %d buffered = %v after one eviction, want only page 0 evicted", p, buffered)
+		}
+	}
+}
+
 // TestJournalCrashConsistencyProperty: journaling commits only at epoch
 // boundaries, so the recovered state must exactly match the snapshot of the
 // newest committed epoch.

@@ -58,7 +58,7 @@ func NewJournal(cfg Config) (*Journal, error) {
 		nvm:  mem.NewDevice(cfg.NVM),
 		dram: mem.NewDevice(cfg.DRAM),
 	}
-	j.Dev = j.nvm
+	j.Dev, j.Vol = j.nvm, j.dram
 	j.idxScratch = alloc.NewRegion[uint64](&j.epoch, cfg.JournalEntries)
 	j.blobScratch = alloc.NewRegion[byte](&j.epoch, 4096)
 	j.meta = commit.NewMeta("baseline: journal", commit.Baseline, cfg.PhysBytes, cfg.Generations, cfg.Integrity, j.nvm.Storage())

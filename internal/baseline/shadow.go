@@ -71,7 +71,7 @@ func NewShadow(cfg Config) (*Shadow, error) {
 		nvm:  mem.NewDevice(cfg.NVM),
 		dram: mem.NewDevice(cfg.DRAM),
 	}
-	s.Dev = s.nvm
+	s.Dev, s.Vol = s.nvm, s.dram
 	s.pageScratch = alloc.NewRegion[*shadowPage](&s.epoch, cfg.DRAMPages)
 	s.blobScratch = alloc.NewRegion[byte](&s.epoch, 4096)
 	s.meta = commit.NewMeta("baseline: shadow", commit.Baseline, cfg.PhysBytes, cfg.Generations, cfg.Integrity, s.nvm.Storage())
@@ -219,46 +219,42 @@ func (s *Shadow) flush(now mem.Cycle, cpuState []byte, ckptStall bool) mem.Cycle
 	if s.seq > 0 {
 		gd = s.meta.Guard.Raise(s.nvm, now, now, s.seq-1)
 	}
-	var pageBuf [mem.PageSize]byte
-	dirty := s.sortedPages()
-	for _, p := range dirty {
-		if !p.dirty || p.dramAddr == noSlot {
-			continue
-		}
-		target := p.shadowA
-		if p.committed == p.shadowA {
-			target = p.shadowB
-		}
-		rd := s.dram.Read(now, p.dramAddr, pageBuf[:])
-		if gd > rd {
-			rd = gd
-		}
-		//thynvm:destroys-generation flush reuses the uncommitted shadow slot older generations may reference
-		_, done := s.nvm.WriteAt(now, rd, target, pageBuf[:], mem.SrcCheckpoint)
-		if done > maxDone {
-			maxDone = done
-		}
-		p.committed = target // staged; becomes real at commit (synchronous)
-		p.dirty = false
-	}
-	// Commit the page table.
+	// One pass in page order writes each dirty page and appends the page
+	// table's entry for every page not at home; the entry count is patched
+	// in after it.
 	le := binary.LittleEndian
 	blob := s.blobScratch.Grab()
 	blob = le.AppendUint64(blob, uint64(len(cpuState)))
 	blob = append(blob, cpuState...)
+	countAt := len(blob)
+	blob = le.AppendUint64(blob, 0)
 	entries := 0
+	var pageBuf [mem.PageSize]byte
 	for _, p := range s.sortedPages() {
-		if p.committed != p.homeAddr {
-			entries++
+		if p.dirty && p.dramAddr != noSlot {
+			target := p.shadowA
+			if p.committed == p.shadowA {
+				target = p.shadowB
+			}
+			rd := s.dram.Read(now, p.dramAddr, pageBuf[:])
+			if gd > rd {
+				rd = gd
+			}
+			//thynvm:destroys-generation flush reuses the uncommitted shadow slot older generations may reference
+			_, done := s.nvm.WriteAt(now, rd, target, pageBuf[:], mem.SrcCheckpoint)
+			if done > maxDone {
+				maxDone = done
+			}
+			p.committed = target // staged; becomes real at commit (synchronous)
+			p.dirty = false
 		}
-	}
-	blob = le.AppendUint64(blob, uint64(entries))
-	for _, p := range s.sortedPages() {
 		if p.committed != p.homeAddr {
 			blob = le.AppendUint64(blob, p.phys)
 			blob = le.AppendUint64(blob, p.committed)
+			entries++
 		}
 	}
+	le.PutUint64(blob[countAt:], uint64(entries))
 	blob = s.blobScratch.Keep(blob)
 	blobAddr := s.meta.Area(s.seq, uint64(len(blob)), &s.nvmBump)
 	_, blobDone := s.nvm.WriteAt(now, maxDone, blobAddr, blob, mem.SrcCheckpoint)
@@ -291,14 +287,19 @@ func (s *Shadow) flush(now mem.Cycle, cpuState []byte, ckptStall bool) mem.Cycle
 // evictClean frees the DRAM slot of one clean buffered page (lowest page
 // index first, for determinism). It reports whether a page was evicted.
 func (s *Shadow) evictClean() bool {
-	for _, p := range s.sortedPages() {
+	var victim *shadowPage
+	s.pages.Scan(func(_ uint64, p *shadowPage) bool {
 		if p.dramAddr != noSlot && !p.dirty {
-			s.freeDRAM = append(s.freeDRAM, p.dramAddr)
-			p.dramAddr = noSlot
-			return true
+			victim = p
 		}
+		return victim == nil
+	})
+	if victim == nil {
+		return false
 	}
-	return false
+	s.freeDRAM = append(s.freeDRAM, victim.dramAddr)
+	victim.dramAddr = noSlot
+	return true
 }
 
 // CheckpointDue implements ctl.Controller.

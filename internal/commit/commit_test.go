@@ -103,9 +103,10 @@ func TestHeaderChecksumDetectsEveryByteFlip(t *testing.T) {
 }
 
 // TestRecordBytesPinned pins the on-media bytes of both schemes' header and
-// guard records: the shared codec must write exactly what each scheme's own
-// codec wrote before it (an image written by one version must recover
-// under the other).
+// guard records, so an image written by one version recovers under the
+// next. The self-sums were re-pinned when mem.Checksum changed from
+// byte-wise FNV-1a to XXH64; every other byte is as each scheme's own codec
+// wrote it before the codec was shared.
 func TestRecordBytesPinned(t *testing.T) {
 	const zero16 = "00000000000000000000000000000000"
 	pins := []struct {
@@ -113,11 +114,11 @@ func TestRecordBytesPinned(t *testing.T) {
 		header, guard string
 	}{
 		{ThyNVM,
-			"44484d564e594854070000000000000000100004000000000802000000000000efcdab8967452301f22ecbb52736bd45" + zero16,
-			"53474d564e594854030000000000000026c5c2cce575ff4e" + zero16 + zero16 + "0000000000000000"},
+			"44484d564e594854070000000000000000100004000000000802000000000000efcdab8967452301e64760ea0055a006" + zero16,
+			"53474d564e59485403000000000000003df757f89b4d0240" + zero16 + zero16 + "0000000000000000"},
 		{Baseline,
-			"52444d4845534142070000000000000000100004000000000802000000000000efcdab8967452301a00abd2f6830a323" + zero16,
-			"52415547455341420300000000000000c0094882f0acb682" + zero16 + zero16 + "0000000000000000"},
+			"52444d4845534142070000000000000000100004000000000802000000000000efcdab8967452301d6a652ca9bfbf1a3" + zero16,
+			"52415547455341420300000000000000168b4ab5df641fcf" + zero16 + zero16 + "0000000000000000"},
 	}
 	for _, p := range pins {
 		var hdr, guard [RecordSize]byte

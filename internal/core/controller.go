@@ -89,7 +89,7 @@ func New(cfg Config) (*Controller, error) {
 		dram:       mem.NewDevice(cfg.DRAM),
 		pageStores: &radix.Table[uint32]{},
 	}
-	c.Dev = c.nvm
+	c.Dev, c.Vol = c.nvm, c.dram
 	c.blockScratch = alloc.NewRegion[*blockEntry](&c.epoch, cfg.BTTEntries)
 	c.pageScratch = alloc.NewRegion[*pageEntry](&c.epoch, cfg.PTTEntries)
 	c.hotScratch = alloc.NewRegion[uint64](&c.epoch, 64)

@@ -101,16 +101,30 @@ type Controller interface {
 	// SetRecorder attaches a telemetry recorder to the controller and its
 	// devices; nil detaches.
 	SetRecorder(r obs.Recorder)
+
+	// Release ends the controller's life: its devices hand their storage
+	// chunks to the pool the next system's devices take chunks from. Any
+	// later access panics; a second Release does nothing.
+	Release()
 }
 
 // Durable implements the part of Controller every built-in system shares:
-// the fault hooks forwarded to its durable device, the armed recovery cut
-// and the last recovery's report. A controller embeds it; its Recover
-// consumes Cut and records Last.
+// the fault hooks forwarded to its durable device, the armed recovery cut,
+// the last recovery's report and the release of its devices. A controller
+// embeds it; its Recover consumes Cut and records Last.
 type Durable struct {
 	Dev  *mem.Device    // the durable device
+	Vol  *mem.Device    // the volatile device; nil for a one-device system
 	Cut  mem.Cycle      // armed recovery interrupt; 0 when disarmed
 	Last RecoveryReport // the last Recover's report
+}
+
+// Release implements Controller.
+func (d *Durable) Release() {
+	d.Dev.Release()
+	if d.Vol != nil {
+		d.Vol.Release()
+	}
 }
 
 // SetWriteFault implements Controller.

@@ -1,6 +1,9 @@
 package mem
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // Hot-path micro-benchmarks for the backing store and device model. Run
 // with `go test -bench=. -benchmem ./internal/mem` and compare against a
@@ -175,3 +178,21 @@ func BenchmarkDevicePostDeep(b *testing.B) { benchmarkDevicePost(b, 512) }
 
 // BenchmarkDevicePostShallow runs the same loop at ~32 live writes.
 func BenchmarkDevicePostShallow(b *testing.B) { benchmarkDevicePost(b, 56) }
+
+// BenchmarkChecksum sums a 64 B block (the integrity layer's granule and
+// a commit header's size class) and a 75 KB blob (a Shadow page table at
+// kv's 4 KB cells).
+func BenchmarkChecksum(b *testing.B) {
+	for _, n := range []int{BlockSize, 75 << 10} {
+		buf := make([]byte, n)
+		for i := range buf {
+			buf[i] = byte(i * 131)
+		}
+		b.Run(fmt.Sprintf("%dB", n), func(b *testing.B) {
+			b.SetBytes(int64(n))
+			for i := 0; i < b.N; i++ {
+				Checksum(buf)
+			}
+		})
+	}
+}

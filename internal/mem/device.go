@@ -633,6 +633,19 @@ func (d *Device) Crash(at Cycle) {
 	}
 }
 
+// Release ends the device's life: every chunk of its store goes to the
+// pool the next storage's first writes take chunks from, and the store,
+// its integrity state and the banks are dropped. Any later access panics
+// instead of reading chunks another storage now owns: a timed access finds
+// no bank, an untimed one no store. A second Release does nothing.
+func (d *Device) Release() {
+	if d.store == nil {
+		return
+	}
+	d.store.release()
+	d.store, d.banks = nil, nil
+}
+
 // Peek reads contents as they would be after all posted writes drain,
 // without advancing time. It is intended for debugging and verification.
 func (d *Device) Peek(addr uint64, buf []byte) {

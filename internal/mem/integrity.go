@@ -1,6 +1,11 @@
 package mem
 
-import "thynvm/internal/radix"
+import (
+	"encoding/binary"
+	"math/bits"
+
+	"thynvm/internal/radix"
+)
 
 // This file is the storage-level half of the media-fault model: optional
 // per-block checksums on the NVM data region (integrity mode), a scrub
@@ -42,15 +47,75 @@ type integrityState struct {
 	counters IntegrityCounters
 }
 
-// Checksum is 64-bit FNV-1a: the integrity layer's per-block sum, and the
-// checksum every commit record and metadata blob carries (internal/commit).
+// Checksum is XXH64 with seed 0: the integrity layer's per-block sum, and
+// the checksum every commit record and metadata blob carries
+// (internal/commit). It reads eight bytes at a time: four lanes each take
+// every fourth word of the 32-byte stripes through a multiply-rotate
+// round, the lanes merge, the tail words and bytes fold in, and the
+// length and a final avalanche finish it.
 func Checksum(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
+	n := uint64(len(b))
+	var h uint64
+	if len(b) >= 32 {
+		p1 := prime1 // a variable, so the lane seeds wrap
+		v1, v2, v3, v4 := p1+prime2, prime2, uint64(0), -p1
+		for ; len(b) >= 32; b = b[32:] {
+			v1 = sumRound(v1, le64(b[0:8]))
+			v2 = sumRound(v2, le64(b[8:16]))
+			v3 = sumRound(v3, le64(b[16:24]))
+			v4 = sumRound(v4, le64(b[24:32]))
+		}
+		h = bits.RotateLeft64(v1, 1) + bits.RotateLeft64(v2, 7) +
+			bits.RotateLeft64(v3, 12) + bits.RotateLeft64(v4, 18)
+		h = sumMerge(h, v1)
+		h = sumMerge(h, v2)
+		h = sumMerge(h, v3)
+		h = sumMerge(h, v4)
+	} else {
+		h = prime5
 	}
+	h += n
+	for ; len(b) >= 8; b = b[8:] {
+		h ^= sumRound(0, le64(b[:8]))
+		h = bits.RotateLeft64(h, 27)*prime1 + prime4
+	}
+	if len(b) >= 4 {
+		h ^= uint64(binary.LittleEndian.Uint32(b[:4])) * prime1
+		h = bits.RotateLeft64(h, 23)*prime2 + prime3
+		b = b[4:]
+	}
+	for _, c := range b {
+		h ^= uint64(c) * prime5
+		h = bits.RotateLeft64(h, 11) * prime1
+	}
+	h ^= h >> 33
+	h *= prime2
+	h ^= h >> 29
+	h *= prime3
+	h ^= h >> 32
 	return h
+}
+
+// Checksum's multipliers (XXH64's primes).
+const (
+	prime1 uint64 = 0x9E3779B185EBCA87
+	prime2 uint64 = 0xC2B2AE3D27D4EB4F
+	prime3 uint64 = 0x165667B19E3779F9
+	prime4 uint64 = 0x85EBCA77C2B2AE63
+	prime5 uint64 = 0x27D4EB2F165667C5
+)
+
+// le64 loads eight little-endian bytes.
+func le64(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
+
+// sumRound mixes one input word into a Checksum lane.
+func sumRound(acc, w uint64) uint64 {
+	return bits.RotateLeft64(acc+w*prime2, 31) * prime1
+}
+
+// sumMerge folds a finished lane into the running sum.
+func sumMerge(h, v uint64) uint64 {
+	return (h^sumRound(0, v))*prime1 + prime4
 }
 
 // EnableIntegrity switches the storage into integrity mode: every Write

@@ -1,6 +1,10 @@
 package mem
 
-import "thynvm/internal/radix"
+import (
+	"sync"
+
+	"thynvm/internal/radix"
+)
 
 // Storage is a sparse, byte-accurate backing store for a device's hardware
 // address space. Unwritten bytes read as zero, so a multi-gigabyte address
@@ -12,7 +16,9 @@ import "thynvm/internal/radix"
 // a few array indexations, and the table's MRU leaf memo makes the common
 // run of accesses to neighboring chunks a single indexation. Clear keeps
 // the table's nodes and its chunks, so a volatile device refilled after a
-// crash allocates nothing for the space it touched before.
+// crash allocates nothing for the space it touched before; a released
+// storage hands its chunks to chunkPool, where any storage's first writes
+// find them.
 type Storage struct {
 	chunks radix.Table[*chunk]
 	spare  []*chunk // chunks Clear released, reused before allocating
@@ -108,16 +114,47 @@ func (s *Storage) Write(addr uint64, data []byte) {
 	}
 }
 
+// chunkPool holds the chunks of released storages for reuse. A chunk
+// moves whole to one storage at a time and is zeroed before its first
+// write there, so no output depends on which storage, or which goroutine,
+// released it.
+//
+//thynvm:allow-concurrency a pool of released chunks; each chunk moves whole to one storage at a time
+var chunkPool sync.Pool
+
 // newChunk returns a zeroed chunk for a first write: one Clear released
-// if there is one, else a new one.
+// if there is one, else one a released storage left in chunkPool, else a
+// new one.
 func (s *Storage) newChunk() *chunk {
+	var c *chunk
 	if k := len(s.spare) - 1; k >= 0 {
-		c := s.spare[k]
+		c = s.spare[k]
 		s.spare = s.spare[:k]
-		*c = chunk{}
-		return c
+	} else {
+		//thynvm:allow-concurrency takes a whole released chunk for this storage (see chunkPool)
+		c, _ = chunkPool.Get().(*chunk)
+		if c == nil {
+			return new(chunk)
+		}
 	}
-	return new(chunk)
+	*c = chunk{}
+	return c
+}
+
+// release hands every chunk the storage holds, in its table and its spare
+// list, to chunkPool, and drops the table and the integrity state. The
+// storage must not be used afterwards.
+func (s *Storage) release() {
+	s.chunks.Scan(func(_ uint64, c *chunk) bool {
+		//thynvm:allow-concurrency returns a chunk no storage holds any more (see chunkPool)
+		chunkPool.Put(c)
+		return true
+	})
+	for _, c := range s.spare {
+		//thynvm:allow-concurrency returns a chunk no storage holds any more (see chunkPool)
+		chunkPool.Put(c)
+	}
+	*s = Storage{}
 }
 
 // Clear discards all contents (a volatile device losing power). The

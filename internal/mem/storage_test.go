@@ -208,6 +208,74 @@ func TestStorageClearKeepsChunks(t *testing.T) {
 	}
 }
 
+// TestReleasedChunksComeBackZeroed: a chunk that a released device's
+// store filled with 0xFF serves another storage's first write, zeroed:
+// after that write of one byte, every other byte of the chunk reads zero.
+// Integrity mode takes chunks the same way.
+func TestReleasedChunksComeBackZeroed(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: a release stays where the next storage looks
+	for _, integrity := range []bool{false, true} {
+		for chunkPool.Get() != nil { // only the chunk released below is left
+		}
+		d := NewDevice(NVMSpec())
+		if integrity {
+			d.Storage().EnableIntegrity()
+		}
+		d.Poke(0, bytes.Repeat([]byte{0xFF}, storageChunk))
+		released, _ := d.Storage().chunks.Get(0)
+		d.Release()
+		d.Release() // a second release does nothing
+
+		s := NewStorage()
+		if integrity {
+			s.EnableIntegrity()
+		}
+		s.Write(storageChunk+5, []byte{0x42})
+		c, _ := s.chunks.Get(1)
+		if c != released && !raceEnabled { // the race build's pool drops items at random
+			t.Errorf("integrity=%v: the first write allocated a chunk instead of taking the released one", integrity)
+		}
+		want := make([]byte, storageChunk)
+		want[5] = 0x42
+		got := make([]byte, storageChunk)
+		s.Read(storageChunk, got)
+		if !bytes.Equal(got, want) {
+			t.Errorf("integrity=%v: a reused chunk holds %d stale bytes", integrity, storageChunk-bytes.Count(got, []byte{0})-1)
+		}
+		if fails := s.VerifyRange(0, 2*storageChunk); len(fails) != 0 {
+			t.Errorf("integrity=%v: a reused chunk fails its checksums at %#x", integrity, fails)
+		}
+	}
+}
+
+// TestReleasedDevicePanics: a released device has no store and no banks,
+// so a timed or untimed access panics instead of reaching chunks another
+// storage now owns.
+func TestReleasedDevicePanics(t *testing.T) {
+	buf := make([]byte, BlockSize)
+	for _, tc := range []struct {
+		name string
+		use  func(d *Device)
+	}{
+		{"Read", func(d *Device) { d.Read(0, 0, buf) }},
+		{"WriteAt", func(d *Device) { d.WriteAt(0, 0, PageSize, buf, SrcCPU) }},
+		{"Peek", func(d *Device) { d.Peek(0, buf) }},
+	} {
+		d := NewDevice(NVMSpec())
+		d.Write(0, 0, buf, SrcCPU)
+		d.Flush(0)
+		d.Release()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a released device did not panic", tc.name)
+				}
+			}()
+			tc.use(d)
+		}()
+	}
+}
+
 // bytesPerRun is testing.AllocsPerRun for bytes: the average heap bytes
 // one call of f allocates, after a warm-up call.
 func bytesPerRun(runs int, f func()) uint64 {

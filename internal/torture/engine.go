@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"thynvm"
@@ -42,12 +43,12 @@ type Outcome struct {
 }
 
 // engine executes one schedule on one observably fresh system: its cache
-// levels may be ones an earlier schedule's system released, which nothing
-// the schedule observes can tell.
+// levels and storage chunks may be ones an earlier schedule's system
+// released, and its scratch an earlier schedule's, which nothing the
+// schedule observes can tell.
 type engine struct {
 	s    *Schedule
 	sys  *thynvm.System
-	o    *verify.Oracle
 	ctrl ctl.Controller
 	out  *Outcome
 	isID bool // ideal system: engine-side crash-instant verification
@@ -57,12 +58,46 @@ type engine struct {
 	mediaEver bool // any media fault landed over the schedule's lifetime
 	halted    bool // an accepted unrecoverable refusal ended the schedule
 
+	*scratch
+}
+
+// scratch is the memory a schedule's engine hands to the next schedule's:
+// the oracle, emptied by Reset, and two buffers every schedule rewrites
+// before it reads them.
+type scratch struct {
+	o *verify.Oracle
 	// model is an ideal system's expected image: every write of the
 	// schedule applied in order to a zeroed footprint.
 	model []byte
 	// payload stages each write's data, each read's destination and the
 	// pages an ideal system's crash check reads back.
 	payload []byte
+}
+
+// scratchPool holds the scratch of finished schedules. Each scratch serves
+// one schedule at a time and is reset before use, so no outcome depends
+// on which schedule, or which goroutine, used it last.
+//
+//thynvm:allow-concurrency a pool of engine scratch; each scratch moves whole to one schedule at a time
+var scratchPool sync.Pool
+
+// takeScratch returns a finished schedule's scratch, its oracle reset and
+// its model zeroed to footprint bytes (none when footprint is 0), or a new
+// one.
+func takeScratch(footprint uint64) *scratch {
+	//thynvm:allow-concurrency takes a whole finished schedule's scratch (see scratchPool)
+	sc, _ := scratchPool.Get().(*scratch)
+	if sc == nil {
+		sc = &scratch{o: verify.New()}
+	}
+	sc.o.Reset()
+	if uint64(cap(sc.model)) < footprint {
+		sc.model = make([]byte, footprint)
+	} else {
+		sc.model = sc.model[:footprint]
+		clear(sc.model)
+	}
+	return sc
 }
 
 // Run executes a schedule and reports its outcome. A non-nil error means
@@ -96,10 +131,14 @@ func Run(s *Schedule) (*Outcome, error) {
 		return nil, err
 	}
 	defer sys.Close()
-	e := &engine{s: s, sys: sys, o: verify.New(), ctrl: sys.Machine.Controller(), out: &Outcome{}, isID: isIdeal}
+	var footprint uint64
 	if isIdeal {
-		e.model = make([]byte, s.Footprint)
+		footprint = s.Footprint
 	}
+	sc := takeScratch(footprint)
+	//thynvm:allow-concurrency hands the scratch to the next schedule (see scratchPool)
+	defer scratchPool.Put(sc)
+	e := &engine{s: s, sys: sys, ctrl: sys.Machine.Controller(), out: &Outcome{}, isID: isIdeal, scratch: sc}
 
 	sys.Machine.PreCheckpoint = func(m *thynvm.Machine) {
 		e.o.Capture(m.Controller(), fmt.Sprintf("ckpt-%d", e.out.Checkpoints), m.Now())

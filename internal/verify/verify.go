@@ -48,8 +48,14 @@ type Oracle struct {
 	touched map[uint64]int // block address → first-touch ordinal
 	order   []uint64       // block addresses by ordinal
 	base    map[uint64][]byte
-	snaps   []*Snapshot
-	cur     []byte // scratch: the current image, in ordinal order
+	// snaps are the captured snapshots. Past its length it keeps those a
+	// Reset emptied, whose structs the next captures reuse.
+	snaps []*Snapshot
+	cur   []byte // scratch: the current image, in ordinal order
+	// slab holds snapshot images back to back: Capture carves each from
+	// its free tail, and Reset rewinds it, so a reused oracle's captures
+	// allocate only once the slab outgrows every earlier run.
+	slab []byte
 }
 
 // New returns an empty oracle.
@@ -58,6 +64,17 @@ func New() *Oracle {
 		touched: make(map[uint64]int),
 		base:    make(map[uint64][]byte),
 	}
+}
+
+// Reset empties the oracle for another run, as New would return it. Its
+// maps, slices, snapshot structs and image slab keep their memory for that
+// run, so snapshots taken before the Reset must not be used after it.
+func (o *Oracle) Reset() {
+	clear(o.touched)
+	o.order = o.order[:0]
+	clear(o.base)
+	o.snaps = o.snaps[:0]
+	o.slab = o.slab[:0]
 }
 
 // RecordWrite marks the blocks covered by a write of n bytes at addr as
@@ -142,10 +159,31 @@ func (o *Oracle) current(c ctl.Controller) []byte {
 // blocks; call it at the instant a checkpoint begins (post cache flush).
 // It returns the snapshot index.
 func (o *Oracle) Capture(c ctl.Controller, label string, at mem.Cycle) int {
-	s := &Snapshot{Label: label, At: at, n: len(o.order), image: make([]byte, len(o.order)*mem.BlockSize)}
+	var s *Snapshot
+	if k := len(o.snaps); k < cap(o.snaps) {
+		s = o.snaps[:k+1][k]
+	}
+	if s == nil {
+		s = new(Snapshot)
+	}
+	*s = Snapshot{Label: label, At: at, n: len(o.order), image: o.carve(len(o.order) * mem.BlockSize)}
 	o.peekFootprint(c, s.image)
 	o.snaps = append(o.snaps, s)
 	return len(o.snaps) - 1
+}
+
+// carve returns the next n bytes of the image slab, starting a slab twice
+// as large when they do not fit; the snapshots carved from the old one
+// keep it.
+func (o *Oracle) carve(n int) []byte {
+	end := len(o.slab) + n
+	if end > cap(o.slab) {
+		o.slab = make([]byte, 0, max(2*cap(o.slab), n))
+		end = n
+	}
+	img := o.slab[len(o.slab):end:end]
+	o.slab = o.slab[:end]
+	return img
 }
 
 // Snapshots returns the captured snapshots in capture order.
@@ -198,6 +236,7 @@ func (o *Oracle) PruneAfter(idx int) {
 		idx = -1
 	}
 	if idx+1 < len(o.snaps) {
+		clear(o.snaps[idx+1:]) // a pruned snapshot is never reused
 		o.snaps = o.snaps[:idx+1]
 	}
 }

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -239,9 +240,15 @@ func TestPruneAfter(t *testing.T) {
 	o.Capture(c, "a", 1)
 	o.Capture(c, "b", 2)
 	o.Capture(c, "c", 3)
+	pruned := o.Snapshots()[1]
 	o.PruneAfter(0)
 	if n := len(o.Snapshots()); n != 1 {
 		t.Fatalf("snapshots after PruneAfter(0): %d", n)
+	}
+	// A later capture takes a new snapshot, not a pruned one.
+	o.Capture(c, "d", 4)
+	if pruned.Label != "b" {
+		t.Fatalf("a capture after PruneAfter(0) rewrote pruned snapshot b as %q", pruned.Label)
 	}
 	o.PruneAfter(-1)
 	if n := len(o.Snapshots()); n != 0 {
@@ -377,5 +384,65 @@ func TestFirstTouchOrderKeepsAddressOrder(t *testing.T) {
 	both(func(o *Oracle) string { i, l, ok := o.Match(c); return fmt.Sprint(i, l, ok) })
 	if i, _, ok := down.Match(c); !ok || i != 0 {
 		t.Fatalf("Match = %d %v, want snapshot 0", i, ok)
+	}
+}
+
+// TestResetOracleIsFresh: an oracle that checked one run and was Reset
+// gives every verdict, error text included, that a new oracle gives on the
+// next run, and once warm it records and captures without allocating.
+func TestResetOracleIsFresh(t *testing.T) {
+	run := func(o *Oracle, seed int) string {
+		c := testCtrl()
+		now := mem.Cycle(0)
+		base := uint64(seed) * 4 * mem.BlockSize
+		o.LoadBase(base, blockOf(byte(seed)))
+		for i := 0; i < 4+seed; i++ {
+			a := base + uint64(i)*mem.BlockSize
+			now = c.WriteBlock(now, a, blockOf(byte(seed+i)))
+			o.RecordWrite(a, mem.BlockSize)
+			o.SetCommitted(o.Capture(c, fmt.Sprint("s", i), now), now)
+		}
+		o.PruneAfter(2)
+		var out []string
+		i, err := o.Check(c, now, true)
+		out = append(out, fmt.Sprint(i, err), fmt.Sprint(o.TouchedBlocks()), fmt.Sprint(o.Diff(c, 0)))
+		i, label, ok := o.Match(c)
+		out = append(out, fmt.Sprint(i, label, ok))
+		now = c.WriteBlock(now, base, blockOf(0xee))
+		o.Capture(c, "late", now)
+		i, err = o.Check(c, now, true)
+		out = append(out, fmt.Sprint(i, err), fmt.Sprint(len(o.Snapshots())))
+		return strings.Join(out, "\n")
+	}
+	want := run(New(), 1)
+	used := New()
+	run(used, 2)
+	used.Reset()
+	if got := run(used, 1); got != want {
+		t.Errorf("a reset oracle says\n%s\na new one says\n%s", got, want)
+	}
+
+	c := testCtrl()
+	o := New()
+	warm := func() {
+		o.Reset()
+		for i := uint64(0); i < 8; i++ {
+			o.RecordWrite(i*mem.BlockSize, mem.BlockSize)
+			o.Capture(c, "warm", 0)
+		}
+	}
+	// The first run leaves a slab that holds its last images; the second
+	// grows one that holds a whole run.
+	warm()
+	warm()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		warm()
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("100 runs of a warm oracle allocate %d times, want 0", n)
 	}
 }

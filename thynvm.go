@@ -313,10 +313,13 @@ func (s *System) Options() Options { return s.opts }
 func (s *System) NVMStorage() *mem.Storage { return s.ctrl.NVMStorage() }
 
 // Close releases the system: its cache levels go back to the pool the next
-// system's hierarchy reuses them from. The system must not be used
-// afterwards; a second Close does nothing. It always returns nil.
+// system's hierarchy reuses them from, then its controller's storage
+// chunks to the pool the next system's devices take chunks from. The
+// system must not be used afterwards; a second Close does nothing. It
+// always returns nil.
 func (s *System) Close() error {
 	s.Caches().Release()
+	s.ctrl.Release()
 	return nil
 }
 

@@ -83,7 +83,7 @@ type profile struct {
 	name   string
 	events int // plain {"cycle":...} event-log lines
 	spans  []obs.Span
-	attrib []obs.EpochAttrib
+	attrib obs.Attribution
 	agg    [obs.NumTracks][obs.NumSpanKinds][obs.NumCauses]obs.AggCell
 }
 
@@ -267,21 +267,7 @@ func verify(p *profile) error {
 	if len(p.attrib) == 0 {
 		return errors.New("no attribution rows in trace (telemetry detached, or pre-span trace?)")
 	}
-	for i, r := range p.attrib {
-		var sum uint64
-		for _, v := range r.Cycles {
-			sum += v
-		}
-		if sum != r.End-r.Start {
-			return fmt.Errorf("attribution broken: epoch %d causes sum to %d, window is %d",
-				r.Epoch, sum, r.End-r.Start)
-		}
-		if i > 0 && p.attrib[i-1].End != r.Start {
-			return fmt.Errorf("attribution rows do not tile: epoch %d starts at %d, previous ends at %d",
-				r.Epoch, r.Start, p.attrib[i-1].End)
-		}
-	}
-	return nil
+	return p.attrib.Check()
 }
 
 // window is the total attributed timeline in cycles.
@@ -290,17 +276,6 @@ func window(p *profile) uint64 {
 		return 0
 	}
 	return p.attrib[len(p.attrib)-1].End - p.attrib[0].Start
-}
-
-// sumCauses totals the attributed cycles per cause over all rows.
-func sumCauses(p *profile) [obs.NumCauses]uint64 {
-	var t [obs.NumCauses]uint64
-	for _, r := range p.attrib {
-		for c, v := range r.Cycles {
-			t[c] += v
-		}
-	}
-	return t
 }
 
 func report(p *profile, top int, epochs bool) {
@@ -313,7 +288,7 @@ func report(p *profile, top int, epochs bool) {
 		return
 	}
 
-	byCause := sumCauses(p)
+	byCause := p.attrib.Sum()
 	fmt.Println("cycle attribution (CPU, exact):")
 	for c := obs.Cause(0); c < obs.NumCauses; c++ {
 		if byCause[c] == 0 {

@@ -610,11 +610,3 @@ func Table2() *Table {
 		},
 	}
 }
-
-func kvRunMix(st KVStore, ops, valSize int, keys uint64, seed int64) (kv.TxStats, error) {
-	return kv.RunMix(st, kv.DefaultMix, ops, valSize, keys, seed)
-}
-
-func kvRunMixPreload(st KVStore, ops, valSize int, keys uint64, seed int64) (kv.TxStats, error) {
-	return kv.RunMix(st, kv.Mix{SearchPct: 0, InsertPct: 100, DeletePct: 0}, ops, valSize, keys, seed)
-}

@@ -21,7 +21,7 @@ func TestSeededRegressions(t *testing.T) {
 	copyModule(t, "../..", dir)
 
 	mutate(t, filepath.Join(dir, "internal", "baseline", "shadow.go"),
-		"gd = s.meta.Guard.Raise(s.nvm, now, now, s.seq-1)",
+		"gd = s.meta.Guard.Raise(s.nvm, now, now, s.meta.Seq-1)",
 		"gd = 0")
 
 	tree, err := load.Packages("../..", "./...")

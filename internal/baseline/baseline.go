@@ -36,9 +36,6 @@ type Config struct {
 	// DRAMPages is the shadow-paging DRAM buffer capacity in pages (the
 	// paper uses the same DRAM size as ThyNVM: 4096 pages = 16 MB).
 	DRAMPages int
-	// DRAM and NVM are device timing specs.
-	DRAM mem.DeviceSpec
-	NVM  mem.DeviceSpec
 	// Generations is the number of retained checkpoint generations (commit
 	// header slots) for the journaling and shadow baselines. 0 means the
 	// classic ping-pong pair; values above 2 enable multi-generation
@@ -58,8 +55,6 @@ func DefaultConfig() Config {
 		EpochLen:       mem.FromNs(10_000_000),
 		JournalEntries: 2048 + 4096,
 		DRAMPages:      4096,
-		DRAM:           mem.DRAMSpec(),
-		NVM:            mem.NVMSpec(),
 	}
 }
 
@@ -78,13 +73,4 @@ func (c Config) Validate() error {
 		return fmt.Errorf("baseline: Generations %d must be 0 (default pair) or in [2, %d]", c.Generations, commit.MaxGenerations)
 	}
 	return nil
-}
-
-func checkAccess(phys uint64, addr uint64, n int) {
-	if n != mem.BlockSize || addr%mem.BlockSize != 0 {
-		panic(fmt.Sprintf("baseline: access must be one aligned block (addr=%#x n=%d)", addr, n))
-	}
-	if addr+mem.BlockSize > phys {
-		panic(fmt.Sprintf("baseline: physical address %#x beyond configured space %#x", addr, phys))
-	}
 }

@@ -27,9 +27,6 @@ type Ideal struct {
 	name     string
 	epochSt  mem.Cycle
 	cpuState []byte
-	stats    ctl.Stats
-	tele     ctl.EpochSampler
-	anyWork  bool
 }
 
 var _ ctl.Controller = (*Ideal)(nil)
@@ -39,7 +36,7 @@ func NewIdealDRAM(cfg Config) (*Ideal, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	spec := cfg.DRAM
+	spec := mem.DRAMSpec()
 	spec.Volatile = false // idealized: contents survive by assumption
 	return newIdeal(cfg, spec, "Ideal DRAM"), nil
 }
@@ -49,7 +46,7 @@ func NewIdealNVM(cfg Config) (*Ideal, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return newIdeal(cfg, cfg.NVM, "Ideal NVM"), nil
+	return newIdeal(cfg, mem.NVMSpec(), "Ideal NVM"), nil
 }
 
 func newIdeal(cfg Config, spec mem.DeviceSpec, name string) *Ideal {
@@ -63,27 +60,23 @@ func newIdeal(cfg Config, spec mem.DeviceSpec, name string) *Ideal {
 // Name identifies the system in reports.
 func (s *Ideal) Name() string { return s.name }
 
-// LoadHome pre-loads initial data, bypassing timing.
-func (s *Ideal) LoadHome(addr uint64, data []byte) { s.Dev.Poke(addr, data) }
-
 // ReadBlock implements ctl.Controller.
 func (s *Ideal) ReadBlock(now mem.Cycle, addr uint64, buf []byte) mem.Cycle {
-	checkAccess(s.cfg.PhysBytes, addr, len(buf))
+	ctl.CheckAccess(s.cfg.PhysBytes, addr, len(buf))
 	done := s.Dev.Read(now, addr, buf)
-	if s.tele.On() {
-		s.tele.Rec().Latency(obs.HistBlockRead, uint64(done-now))
+	if s.Tele.On() {
+		s.Tele.Rec().Latency(obs.HistBlockRead, uint64(done-now))
 	}
 	return done
 }
 
 // WriteBlock implements ctl.Controller.
 func (s *Ideal) WriteBlock(now mem.Cycle, addr uint64, data []byte) mem.Cycle {
-	checkAccess(s.cfg.PhysBytes, addr, len(data))
-	s.anyWork = true
+	ctl.CheckAccess(s.cfg.PhysBytes, addr, len(data))
 	ack := s.Dev.Write(now, addr, data, mem.SrcCPU)
-	s.tele.StallSpan(now, ack, obs.CauseQueueFull)
-	if s.tele.On() {
-		s.tele.Rec().Latency(obs.HistBlockWrite, uint64(ack-now))
+	s.Tele.StallSpan(now, ack, obs.CauseQueueFull)
+	if s.Tele.On() {
+		s.Tele.Rec().Latency(obs.HistBlockWrite, uint64(ack-now))
 	}
 	return ack
 }
@@ -105,15 +98,14 @@ func (s *Ideal) CheckpointDue(now mem.Cycle, cpuDirty bool) bool {
 
 // BeginCheckpoint implements ctl.Controller: free.
 func (s *Ideal) BeginCheckpoint(now mem.Cycle, cpuState []byte) mem.Cycle {
-	epoch := s.stats.Epochs
+	epoch := s.Counts.Epochs
 	epochStart := s.epochSt
 	s.cpuState = append([]byte(nil), cpuState...)
 	s.epochSt = now
-	s.anyWork = false
-	s.stats.Epochs++
-	s.stats.Commits++
-	if s.tele.On() {
-		rec := s.tele.Rec()
+	s.Counts.Epochs++
+	s.Counts.Commits++
+	if s.Tele.On() {
+		rec := s.Tele.Rec()
 		rec.Event(uint64(now), obs.EvEpochEnd, epoch, 0)
 		rec.Event(uint64(now), obs.EvCkptBegin, epoch, 0)
 		rec.Event(uint64(now), obs.EvCkptComplete, epoch, 0)
@@ -122,7 +114,7 @@ func (s *Ideal) BeginCheckpoint(now mem.Cycle, cpuState []byte) mem.Cycle {
 		// Checkpointing is free: the epoch root just rotates in place.
 		rec.EndSpan(obs.TrackCPU, uint64(now))
 		rec.BeginSpan(obs.TrackCPU, uint64(now), obs.SpanEpoch, obs.CauseExec, epoch+1)
-		s.tele.Sample(ctl.EpochMeta{Epoch: epoch, Start: epochStart, End: now}, s.Stats())
+		s.Tele.Sample(ctl.EpochMeta{Epoch: epoch, Start: epochStart, End: now}, s.Stats())
 	}
 	return now
 }
@@ -156,20 +148,5 @@ func (s *Ideal) Recover() ([]byte, mem.Cycle, error) {
 // once, replaying the writes still posted over it in posting order.
 func (s *Ideal) PeekBlock(addr uint64, buf []byte) { s.Dev.Peek(addr, buf) }
 
-// Stats implements ctl.Controller.
-func (s *Ideal) Stats() ctl.Stats {
-	st := s.stats
-	if s.Dev.Spec().Name == "DRAM" {
-		st.DRAM = s.Dev.Stats()
-	} else {
-		st.NVM = s.Dev.Stats()
-	}
-	return st
-}
-
-// ResetStats implements ctl.Controller.
-func (s *Ideal) ResetStats() {
-	s.stats = ctl.Stats{}
-	s.Dev.ResetStats()
-	s.tele.Rebase(s.Stats())
-}
+// SetRecorder implements ctl.Controller.
+func (s *Ideal) SetRecorder(r obs.Recorder) { s.Attach(r, s.epochSt, s.Counts.Epochs) }

@@ -19,7 +19,7 @@ import (
 // then applied in place — all stop-the-world, which is where journaling's
 // checkpointing overhead (Figure 8) comes from.
 type Journal struct {
-	ctl.Durable // fault hooks, recovery cut and report, over nvm
+	ctl.Durable // the shared shell over nvm and dram (stats, telemetry, faults, recovery)
 
 	cfg  Config
 	nvm  *mem.Device
@@ -36,14 +36,10 @@ type Journal struct {
 	idxScratch  *alloc.Region[uint64]
 	blobScratch *alloc.Region[byte]
 
-	meta    *commit.Meta // commit headers, journal areas, generation guard
-	nvmBump uint64
-	seq     uint64
+	meta *commit.Meta // commit headers, journal areas, generation guard
 
 	epochSt  mem.Cycle
 	overflow bool
-	stats    ctl.Stats
-	tele     ctl.EpochSampler
 }
 
 var _ ctl.Controller = (*Journal)(nil)
@@ -55,25 +51,18 @@ func NewJournal(cfg Config) (*Journal, error) {
 	}
 	j := &Journal{
 		cfg:  cfg,
-		nvm:  mem.NewDevice(cfg.NVM),
-		dram: mem.NewDevice(cfg.DRAM),
+		nvm:  mem.NewDevice(mem.NVMSpec()),
+		dram: mem.NewDevice(mem.DRAMSpec()),
 	}
 	j.Dev, j.Vol = j.nvm, j.dram
 	j.idxScratch = alloc.NewRegion[uint64](&j.epoch, cfg.JournalEntries)
 	j.blobScratch = alloc.NewRegion[byte](&j.epoch, 4096)
 	j.meta = commit.NewMeta("baseline: journal", commit.Baseline, cfg.PhysBytes, cfg.Generations, cfg.Integrity, j.nvm.Storage())
-	if cfg.Integrity {
-		j.nvm.Storage().EnableIntegrity()
-	}
-	j.nvmBump = j.meta.DataStart()
 	return j, nil
 }
 
 // Name identifies the system in reports.
 func (j *Journal) Name() string { return "Journal" }
-
-// LoadHome pre-loads initial data, bypassing timing.
-func (j *Journal) LoadHome(addr uint64, data []byte) { j.nvm.Poke(addr, data) }
 
 func (j *Journal) allocSlot() uint64 {
 	if n := len(j.freeSlots); n > 0 {
@@ -89,22 +78,22 @@ func (j *Journal) allocSlot() uint64 {
 // ReadBlock implements ctl.Controller: buffered blocks are served from
 // DRAM, everything else from NVM home.
 func (j *Journal) ReadBlock(now mem.Cycle, addr uint64, buf []byte) mem.Cycle {
-	checkAccess(j.cfg.PhysBytes, addr, len(buf))
+	ctl.CheckAccess(j.cfg.PhysBytes, addr, len(buf))
 	var done mem.Cycle
 	if slot, ok := j.dirty.Get(mem.BlockIndex(addr)); ok {
 		done = j.dram.Read(now, slot, buf)
 	} else {
 		done = j.nvm.Read(now, addr, buf)
 	}
-	if j.tele.On() {
-		j.tele.Rec().Latency(obs.HistBlockRead, uint64(done-now))
+	if j.Tele.On() {
+		j.Tele.Rec().Latency(obs.HistBlockRead, uint64(done-now))
 	}
 	return done
 }
 
 // WriteBlock implements ctl.Controller: updates coalesce in the DRAM buffer.
 func (j *Journal) WriteBlock(now mem.Cycle, addr uint64, data []byte) mem.Cycle {
-	checkAccess(j.cfg.PhysBytes, addr, len(data))
+	ctl.CheckAccess(j.cfg.PhysBytes, addr, len(data))
 	idx := mem.BlockIndex(addr)
 	slot, ok := j.dirty.Get(idx)
 	if !ok {
@@ -115,9 +104,9 @@ func (j *Journal) WriteBlock(now mem.Cycle, addr uint64, data []byte) mem.Cycle 
 		}
 	}
 	ack := j.dram.Write(now, slot, data, mem.SrcCPU)
-	j.tele.StallSpan(now, ack, obs.CauseQueueFull)
-	if j.tele.On() {
-		j.tele.Rec().Latency(obs.HistBlockWrite, uint64(ack-now))
+	j.Tele.StallSpan(now, ack, obs.CauseQueueFull)
+	if j.Tele.On() {
+		j.Tele.Rec().Latency(obs.HistBlockWrite, uint64(ack-now))
 	}
 	return ack
 }
@@ -142,12 +131,12 @@ func (j *Journal) CheckpointDue(now mem.Cycle, cpuDirty bool) bool {
 // committed, and applied in place.
 func (j *Journal) BeginCheckpoint(now mem.Cycle, cpuState []byte) mem.Cycle {
 	start := now
-	epoch := j.stats.Epochs
+	epoch := j.Counts.Epochs
 	epochStart := j.epochSt
 	forced := j.overflow
 	dirtyBlocks := uint64(j.dirty.Len())
-	if j.tele.On() {
-		rec := j.tele.Rec()
+	if j.Tele.On() {
+		rec := j.Tele.Rec()
 		rec.Event(uint64(now), obs.EvEpochEnd, epoch, 0)
 		if forced {
 			rec.Event(uint64(now), obs.EvCkptForced, epoch, 0)
@@ -182,19 +171,14 @@ func (j *Journal) BeginCheckpoint(now mem.Cycle, cpuState []byte) mem.Cycle {
 	blob = j.blobScratch.Keep(blob)
 
 	// Write journal blob to the backup region, then the commit header.
-	blobAddr := j.meta.Area(j.seq, uint64(len(blob)), &j.nvmBump)
-	_, blobDone := j.nvm.WriteAt(now, rdMax, blobAddr, blob, mem.SrcCheckpoint)
-	slot, header := j.meta.Header(j.seq, blobAddr, blob)
-	_, commitDone := j.nvm.WriteAt(now, blobDone, slot, header, mem.SrcCheckpoint)
-	committedSeq := j.seq
-	j.seq++
+	blobDone, commitDone := j.meta.Commit(j.nvm, now, rdMax, now, blob)
 
 	// Apply in place (redo), ordered after the commit. In-place application
 	// destroys the home bytes older generations' journals redo over, so the
 	// generation-safety floor rises to the committed generation first (the
 	// guard write itself ordered after the commit header, so a durable
 	// floor implies a durable commit).
-	applyIssue := j.meta.Guard.Raise(j.nvm, now, commitDone, committedSeq)
+	applyIssue := j.meta.Guard.Raise(j.nvm, now, commitDone, j.meta.Seq-1)
 	applyDone := applyIssue
 	off := 8 + len(cpuState) + 8
 	for _, idx := range idxs {
@@ -213,12 +197,12 @@ func (j *Journal) BeginCheckpoint(now mem.Cycle, cpuState []byte) mem.Cycle {
 	j.epoch.Reset()
 
 	// Stop-the-world: execution resumes when everything is durable.
-	j.stats.Epochs++
-	j.stats.Commits++
-	j.stats.CkptBusy += applyDone - start
+	j.Counts.Epochs++
+	j.Counts.Commits++
+	j.Counts.CkptBusy += applyDone - start
 	j.epochSt = applyDone
-	if j.tele.On() {
-		rec := j.tele.Rec()
+	if j.Tele.On() {
+		rec := j.Tele.Rec()
 		drain := uint64(applyDone - start)
 		rec.Event(uint64(applyDone), obs.EvCkptComplete, epoch, drain)
 		rec.Latency(obs.HistCkptDrain, drain)
@@ -234,7 +218,7 @@ func (j *Journal) BeginCheckpoint(now mem.Cycle, cpuState []byte) mem.Cycle {
 		rec.EndSpan(obs.TrackCPU, uint64(applyDone))
 		rec.EndSpan(obs.TrackCPU, uint64(applyDone))
 		rec.BeginSpan(obs.TrackCPU, uint64(applyDone), obs.SpanEpoch, obs.CauseExec, epoch+1)
-		j.tele.Sample(ctl.EpochMeta{
+		j.Tele.Sample(ctl.EpochMeta{
 			Epoch:       epoch,
 			Start:       epochStart,
 			End:         start,
@@ -262,8 +246,6 @@ func (j *Journal) Crash(at mem.Cycle) {
 	// generation-safety floor are lost; Recover restores the floor from the
 	// guard record.
 	j.meta.Crash()
-	j.nvmBump = j.meta.DataStart()
-	j.seq = 0
 }
 
 // CommitAt implements ctl.Controller: journaling is stop-the-world, so
@@ -284,7 +266,7 @@ func (j *Journal) MetadataKind(addr uint64) ctl.MetadataKind { return j.meta.Met
 func (j *Journal) Recover() ([]byte, mem.Cycle, error) {
 	cpu, t, err := j.meta.Recover(&j.Durable, j.Crash, "an undecodable journal", func(blob []byte) ([]byte, []commit.Copy, error) {
 		return decodeJournal(blob, j.meta)
-	}, j.nvmBump, &j.nvmBump, &j.seq)
+	})
 	if err == nil {
 		j.epochSt = t
 	}
@@ -324,21 +306,13 @@ func (j *Journal) PeekBlock(addr uint64, buf []byte) {
 	}
 }
 
-// Stats implements ctl.Controller.
+// Stats implements ctl.Controller. PeakBTTLive is the dirty table's
+// occupancy at the time of the call, not a peak.
 func (j *Journal) Stats() ctl.Stats {
-	st := j.stats
-	st.NVM = j.nvm.Stats()
-	st.DRAM = j.dram.Stats()
-	if uint64(j.dirty.Len()) > st.PeakBTTLive {
-		st.PeakBTTLive = uint64(j.dirty.Len())
-	}
+	st := j.Durable.Stats()
+	st.PeakBTTLive = uint64(j.dirty.Len())
 	return st
 }
 
-// ResetStats implements ctl.Controller.
-func (j *Journal) ResetStats() {
-	j.stats = ctl.Stats{}
-	j.nvm.ResetStats()
-	j.dram.ResetStats()
-	j.tele.Rebase(j.Stats())
-}
+// SetRecorder implements ctl.Controller.
+func (j *Journal) SetRecorder(r obs.Recorder) { j.Attach(r, j.epochSt, j.Counts.Epochs) }

@@ -21,7 +21,7 @@ import (
 // which Figure 8 highlights under Random, is writing whole pages even when
 // only a few blocks are dirty.
 type Shadow struct {
-	ctl.Durable // fault hooks, recovery cut and report, over nvm
+	ctl.Durable // the shared shell over nvm and dram (stats, telemetry, faults, recovery)
 
 	cfg  Config
 	nvm  *mem.Device
@@ -38,15 +38,11 @@ type Shadow struct {
 	pageScratch *alloc.Region[*shadowPage]
 	blobScratch *alloc.Region[byte]
 
-	meta    *commit.Meta // commit headers, page-table areas, generation guard
-	nvmBump uint64
-	seq     uint64
+	meta *commit.Meta // commit headers, page-table areas, generation guard
 
 	epochSt  mem.Cycle
 	lastCPU  []byte // CPU state of the most recent epoch checkpoint
 	overflow bool
-	stats    ctl.Stats
-	tele     ctl.EpochSampler
 }
 
 type shadowPage struct {
@@ -68,25 +64,18 @@ func NewShadow(cfg Config) (*Shadow, error) {
 	}
 	s := &Shadow{
 		cfg:  cfg,
-		nvm:  mem.NewDevice(cfg.NVM),
-		dram: mem.NewDevice(cfg.DRAM),
+		nvm:  mem.NewDevice(mem.NVMSpec()),
+		dram: mem.NewDevice(mem.DRAMSpec()),
 	}
 	s.Dev, s.Vol = s.nvm, s.dram
 	s.pageScratch = alloc.NewRegion[*shadowPage](&s.epoch, cfg.DRAMPages)
 	s.blobScratch = alloc.NewRegion[byte](&s.epoch, 4096)
 	s.meta = commit.NewMeta("baseline: shadow", commit.Baseline, cfg.PhysBytes, cfg.Generations, cfg.Integrity, s.nvm.Storage())
-	if cfg.Integrity {
-		s.nvm.Storage().EnableIntegrity()
-	}
-	s.nvmBump = s.meta.DataStart()
 	return s, nil
 }
 
 // Name identifies the system in reports.
 func (s *Shadow) Name() string { return "Shadow" }
-
-// LoadHome pre-loads initial data, bypassing timing.
-func (s *Shadow) LoadHome(addr uint64, data []byte) { s.nvm.Poke(addr, data) }
 
 func (s *Shadow) allocDRAMPage() (uint64, bool) {
 	if n := len(s.freeDRAM); n > 0 {
@@ -103,8 +92,8 @@ func (s *Shadow) allocDRAMPage() (uint64, bool) {
 }
 
 func (s *Shadow) allocShadowSlot() uint64 {
-	a := s.nvmBump
-	s.nvmBump += mem.PageSize
+	a := s.meta.Bump
+	s.meta.Bump += mem.PageSize
 	return a
 }
 
@@ -120,7 +109,7 @@ func (s *Shadow) sortedPages() []*shadowPage {
 // ReadBlock implements ctl.Controller: DRAM if buffered, else the committed
 // NVM copy.
 func (s *Shadow) ReadBlock(now mem.Cycle, addr uint64, buf []byte) mem.Cycle {
-	checkAccess(s.cfg.PhysBytes, addr, len(buf))
+	ctl.CheckAccess(s.cfg.PhysBytes, addr, len(buf))
 	pageIdx := mem.PageIndex(addr)
 	off := addr % mem.PageSize
 	var done mem.Cycle
@@ -131,8 +120,8 @@ func (s *Shadow) ReadBlock(now mem.Cycle, addr uint64, buf []byte) mem.Cycle {
 	} else {
 		done = s.nvm.Read(now, addr, buf)
 	}
-	if s.tele.On() {
-		s.tele.Rec().Latency(obs.HistBlockRead, uint64(done-now))
+	if s.Tele.On() {
+		s.Tele.Rec().Latency(obs.HistBlockRead, uint64(done-now))
 	}
 	return done
 }
@@ -141,7 +130,7 @@ const noSlot = ^uint64(0)
 
 // WriteBlock implements ctl.Controller: copy-on-write into the DRAM buffer.
 func (s *Shadow) WriteBlock(now mem.Cycle, addr uint64, data []byte) mem.Cycle {
-	checkAccess(s.cfg.PhysBytes, addr, len(data))
+	ctl.CheckAccess(s.cfg.PhysBytes, addr, len(data))
 	pageIdx := mem.PageIndex(addr)
 	off := addr % mem.PageSize
 	p, ok := s.pages.Get(pageIdx)
@@ -181,16 +170,16 @@ func (s *Shadow) WriteBlock(now mem.Cycle, addr uint64, data []byte) mem.Cycle {
 		p.dramAddr = slot
 	}
 	p.dirty = true
-	if uint64(s.pages.Len()) > s.stats.PeakPTTLive {
-		s.stats.PeakPTTLive = uint64(s.pages.Len())
+	if uint64(s.pages.Len()) > s.Counts.PeakPTTLive {
+		s.Counts.PeakPTTLive = uint64(s.pages.Len())
 	}
 	if s.dramBump/mem.PageSize >= uint64(s.cfg.DRAMPages) && len(s.freeDRAM) == 0 {
 		s.overflow = true // ask for an epoch-boundary flush before we force one
 	}
 	ack := s.dram.Write(now, p.dramAddr+off, data, mem.SrcCPU)
-	s.tele.StallSpan(now, ack, obs.CauseQueueFull)
-	if s.tele.On() {
-		s.tele.Rec().Latency(obs.HistBlockWrite, uint64(ack-now))
+	s.Tele.StallSpan(now, ack, obs.CauseQueueFull)
+	if s.Tele.On() {
+		s.Tele.Rec().Latency(obs.HistBlockWrite, uint64(ack-now))
 	}
 	return ack
 }
@@ -201,9 +190,9 @@ func (s *Shadow) WriteBlock(now mem.Cycle, addr uint64, data []byte) mem.Cycle {
 func (s *Shadow) flush(now mem.Cycle, cpuState []byte, ckptStall bool) mem.Cycle {
 	start := now
 	maxDone := now
-	epoch := s.stats.Epochs
-	if s.tele.On() {
-		rec := s.tele.Rec()
+	epoch := s.Counts.Epochs
+	if s.Tele.On() {
+		rec := s.Tele.Rec()
 		if ckptStall {
 			// Mid-epoch flush forced by DRAM-buffer pressure.
 			rec.Event(uint64(now), obs.EvCkptForced, epoch, 0)
@@ -216,8 +205,8 @@ func (s *Shadow) flush(now mem.Cycle, cpuState []byte, ckptStall bool) mem.Cycle
 	// generation-safety floor rises to the previous generation first and
 	// the slot writes are ordered after the raise.
 	var gd mem.Cycle
-	if s.seq > 0 {
-		gd = s.meta.Guard.Raise(s.nvm, now, now, s.seq-1)
+	if s.meta.Seq > 0 {
+		gd = s.meta.Guard.Raise(s.nvm, now, now, s.meta.Seq-1)
 	}
 	// One pass in page order writes each dirty page and appends the page
 	// table's entry for every page not at home; the entry count is patched
@@ -256,23 +245,19 @@ func (s *Shadow) flush(now mem.Cycle, cpuState []byte, ckptStall bool) mem.Cycle
 	}
 	le.PutUint64(blob[countAt:], uint64(entries))
 	blob = s.blobScratch.Keep(blob)
-	blobAddr := s.meta.Area(s.seq, uint64(len(blob)), &s.nvmBump)
-	_, blobDone := s.nvm.WriteAt(now, maxDone, blobAddr, blob, mem.SrcCheckpoint)
-	slot, header := s.meta.Header(s.seq, blobAddr, blob)
-	_, commitDone := s.nvm.WriteAt(now, blobDone, slot, header, mem.SrcCheckpoint)
-	s.seq++
+	blobDone, commitDone := s.meta.Commit(s.nvm, now, maxDone, now, blob)
 
-	s.stats.Commits++
+	s.Counts.Commits++
 	if ckptStall {
-		s.stats.CkptStall += commitDone - start
+		s.Counts.CkptStall += commitDone - start
 		// Mid-epoch flush forced by buffer pressure: the store that
 		// triggered it stalls for the whole stop-the-world flush.
-		s.tele.StallSpan(start, commitDone, obs.CauseWriteBuffer)
+		s.Tele.StallSpan(start, commitDone, obs.CauseWriteBuffer)
 	}
-	s.stats.CkptBusy += commitDone - start
-	if s.tele.On() {
+	s.Counts.CkptBusy += commitDone - start
+	if s.Tele.On() {
 		drain := uint64(commitDone - start)
-		rec := s.tele.Rec()
+		rec := s.Tele.Rec()
 		rec.Event(uint64(commitDone), obs.EvCkptComplete, epoch, drain)
 		rec.Latency(obs.HistCkptDrain, drain)
 		rec.BeginSpan(obs.TrackCkpt, uint64(start), obs.SpanCkptDrain, obs.CauseCkptDrain, epoch)
@@ -328,30 +313,30 @@ func (s *Shadow) CheckpointDue(now mem.Cycle, cpuDirty bool) bool {
 
 // BeginCheckpoint implements ctl.Controller: stop-the-world flush + commit.
 func (s *Shadow) BeginCheckpoint(now mem.Cycle, cpuState []byte) mem.Cycle {
-	epoch := s.stats.Epochs
+	epoch := s.Counts.Epochs
 	epochStart := s.epochSt
 	var dirtyPages uint64
-	if s.tele.On() {
+	if s.Tele.On() {
 		s.pages.Scan(func(_ uint64, p *shadowPage) bool {
 			if p.dirty && p.dramAddr != noSlot {
 				dirtyPages++
 			}
 			return true
 		})
-		s.tele.Rec().Event(uint64(now), obs.EvEpochEnd, epoch, 0)
+		s.Tele.Rec().Event(uint64(now), obs.EvEpochEnd, epoch, 0)
 	}
 	s.lastCPU = append([]byte(nil), cpuState...)
 	done := s.flush(now, s.lastCPU, false)
-	s.stats.Epochs++
+	s.Counts.Epochs++
 	s.epochSt = done
-	if s.tele.On() {
-		rec := s.tele.Rec()
+	if s.Tele.On() {
+		rec := s.Tele.Rec()
 		rec.BeginSpan(obs.TrackCPU, uint64(now), obs.SpanCkptStage, obs.CauseCkptStage, 0)
 		rec.EndSpan(obs.TrackCPU, uint64(done))
 		rec.EndSpan(obs.TrackCPU, uint64(done))
-		rec.BeginSpan(obs.TrackCPU, uint64(done), obs.SpanEpoch, obs.CauseExec, s.stats.Epochs)
-		s.tele.Rec().Event(uint64(done), obs.EvEpochBegin, s.stats.Epochs, 0)
-		s.tele.Sample(ctl.EpochMeta{
+		rec.BeginSpan(obs.TrackCPU, uint64(done), obs.SpanEpoch, obs.CauseExec, s.Counts.Epochs)
+		s.Tele.Rec().Event(uint64(done), obs.EvEpochBegin, s.Counts.Epochs, 0)
+		s.Tele.Sample(ctl.EpochMeta{
 			Epoch:      epoch,
 			Start:      epochStart,
 			End:        now,
@@ -378,8 +363,6 @@ func (s *Shadow) Crash(at mem.Cycle) {
 	// generation-safety floor are lost; Recover restores the floor from the
 	// guard record.
 	s.meta.Crash()
-	s.nvmBump = s.meta.DataStart()
-	s.seq = 0
 }
 
 // CommitAt implements ctl.Controller: flushes are stop-the-world.
@@ -399,7 +382,7 @@ func (s *Shadow) MetadataKind(addr uint64) ctl.MetadataKind { return s.meta.Meta
 func (s *Shadow) Recover() ([]byte, mem.Cycle, error) {
 	cpu, t, err := s.meta.Recover(&s.Durable, s.Crash, "an undecodable page table", func(blob []byte) ([]byte, []commit.Copy, error) {
 		return decodeShadow(blob, s.meta)
-	}, s.nvmBump, &s.nvmBump, &s.seq)
+	})
 	if err == nil {
 		s.epochSt = t
 	}
@@ -449,18 +432,5 @@ func (s *Shadow) peekBlock(addr uint64, buf []byte) {
 	s.nvm.Peek(addr, buf)
 }
 
-// Stats implements ctl.Controller.
-func (s *Shadow) Stats() ctl.Stats {
-	st := s.stats
-	st.NVM = s.nvm.Stats()
-	st.DRAM = s.dram.Stats()
-	return st
-}
-
-// ResetStats implements ctl.Controller.
-func (s *Shadow) ResetStats() {
-	s.stats = ctl.Stats{}
-	s.nvm.ResetStats()
-	s.dram.ResetStats()
-	s.tele.Rebase(s.Stats())
-}
+// SetRecorder implements ctl.Controller.
+func (s *Shadow) SetRecorder(r obs.Recorder) { s.Attach(r, s.epochSt, s.Counts.Epochs) }

@@ -180,6 +180,10 @@ type area struct{ addr, size uint64 }
 // bump-allocated beyond it.
 type Meta struct {
 	Guard Guard
+	// Seq is the sequence number of the next commit. Bump is the first free
+	// address past the metadata page; blob areas and the scheme's
+	// checkpoint slots are allocated from it.
+	Seq, Bump uint64
 
 	sys     string // names the scheme in refusals
 	magic   Magic
@@ -192,8 +196,9 @@ type Meta struct {
 }
 
 // NewMeta lays out the metadata of a scheme over a physBytes Home region
-// with k retained generations (0: the pair) on the NVM storage store. sys
-// prefixes the scheme's refusals, e.g. "core" or "baseline: journal".
+// with k retained generations (0: the pair) on the NVM storage store, and
+// enables the store's integrity layer when asked. sys prefixes the scheme's
+// refusals, e.g. "core" or "baseline: journal".
 func NewMeta(sys string, magic Magic, physBytes uint64, k int, integrity bool, store *mem.Storage) *Meta {
 	k = generations(k)
 	m := &Meta{
@@ -213,6 +218,10 @@ func NewMeta(sys string, magic Magic, physBytes uint64, k int, integrity bool, s
 		addr:  physBytes + mem.PageSize - RecordSize,
 		magic: magic,
 	}
+	m.Bump = m.DataStart()
+	if integrity {
+		store.EnableIntegrity()
+	}
 	return m
 }
 
@@ -224,16 +233,16 @@ func (m *Meta) DataStart() uint64 { return m.phys + mem.PageSize }
 // into.
 func (m *Meta) HeaderAddr(seq uint64) uint64 { return m.headers[seq%uint64(len(m.headers))] }
 
-// Area returns the address of the blob area generation seq commits n bytes
-// into. The area is reallocated from *bump, page-aligned and spanning n
+// area returns the address of the blob area generation seq commits n bytes
+// into. The area is reallocated from Bump, page-aligned and spanning n
 // rounded up to whole pages, when n bytes do not fit.
-func (m *Meta) Area(seq, n uint64, bump *uint64) uint64 {
+func (m *Meta) area(seq, n uint64) uint64 {
 	a := &m.areas[seq%uint64(len(m.areas))]
 	if n > a.size {
-		*bump = alignPage(*bump)
-		a.addr = *bump
+		m.Bump = alignPage(m.Bump)
+		a.addr = m.Bump
 		a.size = alignPage(n)
-		*bump += a.size
+		m.Bump += a.size
 	}
 	return a.addr
 }
@@ -252,10 +261,25 @@ func (m *Meta) Header(seq, addr uint64, blob []byte) (slot uint64, rec []byte) {
 	return m.HeaderAddr(seq), m.hdr[:]
 }
 
-// Crash drops the volatile state a power failure loses: the blob-area
-// table (the next commits allocate fresh areas) and the guard's mirror of
-// the floor (Recover restores it from the guard record).
+// Commit commits generation Seq on nvm at cycle now: it writes blob into
+// the generation's area, issued at blobAt, then the header naming it,
+// issued at hdrAt or once the blob is durable, whichever is later, and
+// advances Seq. It returns when the blob and when the header are durable.
+func (m *Meta) Commit(nvm *mem.Device, now, blobAt, hdrAt mem.Cycle, blob []byte) (blobDone, done mem.Cycle) {
+	addr := m.area(m.Seq, uint64(len(blob)))
+	_, blobDone = nvm.WriteAt(now, blobAt, addr, blob, mem.SrcCheckpoint)
+	slot, hdr := m.Header(m.Seq, addr, blob)
+	_, done = nvm.WriteAt(now, max(hdrAt, blobDone), slot, hdr, mem.SrcCheckpoint)
+	m.Seq++
+	return blobDone, done
+}
+
+// Crash drops the volatile state a power failure loses: the next sequence
+// number and the bump cursor (Recover restores both), the blob-area table
+// (the next commits allocate fresh areas) and the guard's mirror of the
+// floor (Recover restores it from the guard record).
 func (m *Meta) Crash() {
+	m.Seq, m.Bump = 0, m.DataStart()
 	clear(m.areas)
 	m.Guard.floor = 0
 	m.Guard.done = 0

@@ -166,6 +166,63 @@ func TestGuardRaise(t *testing.T) {
 	}
 }
 
+// TestCommit checks the one commit path: each header completes after its
+// blob and no earlier than hdrAt, Seq rises by one a commit, Bump grows
+// only when an area grows, the K+1-th commit reuses area 0, Crash resets
+// Seq and Bump, and Recover restores both past the surviving blob.
+func TestCommit(t *testing.T) {
+	const k = 3
+	nvm := mem.NewDevice(mem.NVMSpec())
+	m := NewMeta("test", ThyNVM, 1<<20, k, false, nvm.Storage())
+	start := m.DataStart()
+	if m.Seq != 0 || m.Bump != start {
+		t.Fatalf("new Meta: Seq %d, Bump %#x; want 0, %#x", m.Seq, m.Bump, start)
+	}
+	small, big := []byte("a one-page blob"), make([]byte, mem.PageSize+1)
+	commit := func(now, blobAt, hdrAt mem.Cycle, blob []byte, wantBump uint64) mem.Cycle {
+		t.Helper()
+		seq := m.Seq
+		blobDone, done := m.Commit(nvm, now, blobAt, hdrAt, blob)
+		if blobDone <= blobAt || done <= max(blobDone, hdrAt) {
+			t.Errorf("commit %d: blob issued at %d done at %d, header done at %d; want the header after the blob and after %d",
+				seq, blobAt, blobDone, done, hdrAt)
+		}
+		if m.Seq != seq+1 {
+			t.Errorf("commit %d: Seq %d, want %d", seq, m.Seq, seq+1)
+		}
+		if m.Bump != wantBump {
+			t.Errorf("commit %d: Bump %#x, want %#x", seq, m.Bump, wantBump)
+		}
+		return done
+	}
+	var now mem.Cycle = 1000
+	for i := uint64(0); i < k; i++ {
+		now = commit(now, now+500, now, small, start+(i+1)*mem.PageSize)
+	}
+	now = commit(now, now, now, small, start+k*mem.PageSize) // the K+1-th: area 0 again
+	hdrAt := now + 1_000_000
+	now = commit(now, now, hdrAt, big, start+(k+2)*mem.PageSize) // area 1 grows to two pages
+	nvm.Flush(now)
+	var rec [RecordSize]byte
+	nvm.Peek(m.HeaderAddr(0), rec[:])
+	if h, err := ThyNVM.DecodeHeader(rec[:]); err != nil || h.Seq != k || h.BlobAddr != start {
+		t.Errorf("header slot 0 = (%+v, %v), want generation %d naming area 0 at %#x", h, err, k, start)
+	}
+
+	m.Crash()
+	if m.Seq != 0 || m.Bump != start {
+		t.Fatalf("after Crash: Seq %d, Bump %#x; want 0, %#x", m.Seq, m.Bump, start)
+	}
+	decode := func(blob []byte) ([]byte, []Copy, error) { return []byte("cpu"), nil, nil }
+	if cpu, _, err := m.Recover(&ctl.Durable{Dev: nvm}, func(mem.Cycle) {}, "a test blob", decode); err != nil || string(cpu) != "cpu" {
+		t.Fatalf("Recover = (%q, %v)", cpu, err)
+	}
+	// The surviving blob is generation k+1's: two pages at start+k pages.
+	if m.Seq != k+2 || m.Bump != start+(k+2)*mem.PageSize {
+		t.Errorf("after Recover: Seq %d, Bump %#x; want %d, %#x", m.Seq, m.Bump, k+2, start+(k+2)*mem.PageSize)
+	}
+}
+
 // TestScanBlobOutsideDevice: a header whose checksums hold but whose blob
 // range wraps or exceeds everything ever written is blob damage — never a
 // panic or an unbounded read.

@@ -34,11 +34,11 @@ type Decoder func(blob []byte) (cpu []byte, copies []Copy, err error)
 // Home from durable checkpoint data, and the metadata naming that data is
 // not touched until the next commit.
 //
-// After restoring a generation, *seq is the next commit's sequence number
-// and *bump the first free address for future allocations: page-aligned
-// past cursor, the surviving blob and, conservatively, every slot just read.
-// A cold start leaves both alone.
-func (m *Meta) Recover(d *ctl.Durable, crash func(mem.Cycle), what string, decode Decoder, cursor uint64, bump, seq *uint64) ([]byte, mem.Cycle, error) {
+// After restoring a generation, Seq is the next commit's sequence number
+// and Bump the first free address for future allocations: page-aligned
+// past the metadata page, the surviving blob and, conservatively, every
+// slot just read. A cold start leaves both alone.
+func (m *Meta) Recover(d *ctl.Durable, crash func(mem.Cycle), what string, decode Decoder) ([]byte, mem.Cycle, error) {
 	nvm, cut := d.Dev, d.Cut
 	d.Cut, d.Last = 0, ctl.RecoveryReport{}
 	interrupt := func() ([]byte, mem.Cycle, error) {
@@ -79,7 +79,7 @@ func (m *Meta) Recover(d *ctl.Durable, crash func(mem.Cycle), what string, decod
 	m.Guard.Restore(sc.Floor)
 	fails := m.ReadFailures()
 	gd := m.Guard.Raise(nvm, t, t, best.Seq)
-	end := max(cursor, best.BlobAddr+best.BlobLen)
+	end := max(m.DataStart(), best.BlobAddr+best.BlobLen)
 	var buf [mem.PageSize]byte
 	for _, c := range copies {
 		if cut > 0 && t >= cut {
@@ -109,7 +109,7 @@ func (m *Meta) Recover(d *ctl.Durable, crash func(mem.Cycle), what string, decod
 		d.Last = srep
 		return nil, t, err
 	}
-	*bump, *seq = alignPage(end), best.Seq+1
+	m.Bump, m.Seq = alignPage(end), best.Seq+1
 	d.Last = rep
 	return cpu, t, nil
 }

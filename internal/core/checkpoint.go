@@ -18,7 +18,7 @@ import (
 // write ordering degenerates to the legacy behavior.
 func (c *Controller) guardIssue(now mem.Cycle, idle uint8) mem.Cycle {
 	floor := uint64(0)
-	if newest := c.seq - 1; c.seq > 0 && uint64(idle) < newest {
+	if newest := c.meta.Seq - 1; c.meta.Seq > 0 && uint64(idle) < newest {
 		floor = newest - uint64(idle)
 	}
 	return c.meta.Guard.Raise(c.nvm, now, now, floor)
@@ -80,7 +80,7 @@ func (c *Controller) BeginCheckpoint(now mem.Cycle, cpuState []byte) mem.Cycle {
 		// is draining; stall until the commit applies. (The caller
 		// observes this stall in the returned resume cycle.)
 		if c.commitDone > now {
-			c.tele.StallSpan(now, c.commitDone, obs.CauseCkptDrain)
+			c.Tele.StallSpan(now, c.commitDone, obs.CauseCkptDrain)
 			now = c.commitDone
 		}
 		c.finalize()
@@ -88,8 +88,8 @@ func (c *Controller) BeginCheckpoint(now mem.Cycle, cpuState []byte) mem.Cycle {
 	epoch := c.epochID
 	epochStart := c.epochStart
 	forced := c.overflowReq
-	if c.tele.On() {
-		rec := c.tele.Rec()
+	if c.Tele.On() {
+		rec := c.Tele.Rec()
 		rec.Event(uint64(now), obs.EvEpochEnd, epoch, 0)
 		if forced {
 			rec.Event(uint64(now), obs.EvCkptForced, epoch, 0)
@@ -178,30 +178,16 @@ func (c *Controller) BeginCheckpoint(now mem.Cycle, cpuState []byte) mem.Cycle {
 
 	// (4) Serialize the translation tables and CPU state, then the commit
 	// header, ordered after every data write above and after any Home-
-	// consolidation copies posted at the previous commit.
+	// consolidation copies posted at the previous commit. "Flush the NVM
+	// write queue": the commit record must also follow the execution-phase
+	// working copies that block remapping wrote directly to NVM — they
+	// *are* the checkpoint data for those blocks. (Tracked explicitly so
+	// that unrelated background consolidation copies do not gate the
+	// commit.)
 	blob := c.serializeTables(cpuState)
-	blobAddr := c.meta.Area(c.seq, uint64(len(blob)), &c.nvmBump)
-	_, blobDone := c.nvm.WriteAt(now, now, blobAddr, blob, mem.SrcCheckpoint)
-	if blobDone > maxDone {
-		maxDone = blobDone
-	}
-	if c.homeCopyMaxDone > maxDone {
-		maxDone = c.homeCopyMaxDone
-	}
-	c.homeCopyMaxDone = 0
-	// "Flush the NVM write queue": the commit record must follow the
-	// execution-phase working copies that block remapping wrote directly
-	// to NVM — they *are* the checkpoint data for those blocks. (Tracked
-	// explicitly so that unrelated background consolidation copies do not
-	// gate the commit.)
-	if c.execWriteMaxDone > maxDone {
-		maxDone = c.execWriteMaxDone
-	}
-	c.execWriteMaxDone = 0
-
-	slot, header := c.meta.Header(c.seq, blobAddr, blob)
-	_, commitDone := c.nvm.WriteAt(now, maxDone, slot, header, mem.SrcCheckpoint)
-	c.seq++
+	hdrAt := max(maxDone, c.homeCopyMaxDone, c.execWriteMaxDone)
+	c.homeCopyMaxDone, c.execWriteMaxDone = 0, 0
+	blobDone, commitDone := c.meta.Commit(c.nvm, now, now, hdrAt, blob)
 	c.ckptInFlight = true
 	c.commitDone = commitDone
 
@@ -252,7 +238,7 @@ func (c *Controller) BeginCheckpoint(now mem.Cycle, cpuState []byte) mem.Cycle {
 	})
 	c.pageStores = next
 
-	c.stats.Epochs++
+	c.Counts.Epochs++
 	c.epochID++
 	c.overflowReq = false
 
@@ -260,8 +246,8 @@ func (c *Controller) BeginCheckpoint(now mem.Cycle, cpuState []byte) mem.Cycle {
 	// cache-flush stall is accounted by the caller.
 	resume := now + mem.TableLookup
 	c.epochStart = resume
-	if c.tele.On() {
-		rec := c.tele.Rec()
+	if c.Tele.On() {
+		rec := c.Tele.Rec()
 		var drain uint64
 		if commitDone > resume {
 			drain = uint64(commitDone - resume)
@@ -283,7 +269,7 @@ func (c *Controller) BeginCheckpoint(now mem.Cycle, cpuState []byte) mem.Cycle {
 		// The epoch sample is the last thing emitted: its deltas cover
 		// everything the closing epoch and its staging phase wrote, so the
 		// series sums to the cumulative Stats at this instant.
-		c.tele.Sample(ctl.EpochMeta{
+		c.Tele.Sample(ctl.EpochMeta{
 			Epoch:       epoch,
 			Start:       epochStart,
 			End:         now,
@@ -304,9 +290,9 @@ func (c *Controller) DrainCheckpoint(now mem.Cycle) mem.Cycle {
 		if c.commitDone > now {
 			// The caller's CPU blocks until commit: attribute the wait as
 			// an explicit foreground drain on the CPU track.
-			if c.tele.On() {
-				c.tele.Rec().BeginSpan(obs.TrackCPU, uint64(now), obs.SpanDeviceDrain, obs.CauseCkptDrain, 0)
-				c.tele.Rec().EndSpan(obs.TrackCPU, uint64(c.commitDone))
+			if c.Tele.On() {
+				c.Tele.Rec().BeginSpan(obs.TrackCPU, uint64(now), obs.SpanDeviceDrain, obs.CauseCkptDrain, 0)
+				c.Tele.Rec().EndSpan(obs.TrackCPU, uint64(c.commitDone))
 			}
 			now = c.commitDone
 		}
@@ -325,15 +311,15 @@ func (c *Controller) finalize() {
 		return
 	}
 	c.ckptInFlight = false
-	c.stats.Commits++
-	c.stats.CkptBusy += c.commitDone - c.ckptStart
-	if c.tele.On() {
+	c.Counts.Commits++
+	c.Counts.CkptBusy += c.commitDone - c.ckptStart
+	if c.Tele.On() {
 		drain := uint64(c.commitDone - c.ckptStart)
-		c.tele.Rec().Event(uint64(c.commitDone), obs.EvCkptComplete, c.ckptEpoch, drain)
-		c.tele.Rec().Latency(obs.HistCkptDrain, drain)
+		c.Tele.Rec().Event(uint64(c.commitDone), obs.EvCkptComplete, c.ckptEpoch, drain)
+		c.Tele.Rec().Latency(obs.HistCkptDrain, drain)
 		// Close the background drain window opened at BeginCheckpoint (a
 		// no-op when the recorder attached mid-drain).
-		c.tele.Rec().EndSpan(obs.TrackCkpt, uint64(c.commitDone))
+		c.Tele.Rec().EndSpan(obs.TrackCkpt, uint64(c.commitDone))
 	}
 	at := c.commitDone
 
@@ -422,12 +408,12 @@ const scrubChunkBudget = 4
 // needs its detection side, surfaced as obs events.
 func (c *Controller) scrubStep(at mem.Cycle) {
 	scanned, fails := c.nvm.Storage().ScrubStep(scrubChunkBudget, c.cfg.PhysBytes)
-	if c.tele.On() {
+	if c.Tele.On() {
 		if scanned > 0 {
-			c.tele.Rec().Event(uint64(at), obs.EvScrub, uint64(scanned), uint64(len(fails)))
+			c.Tele.Rec().Event(uint64(at), obs.EvScrub, uint64(scanned), uint64(len(fails)))
 		}
 		for _, a := range fails {
-			c.tele.Rec().Event(uint64(at), obs.EvChecksumFail, a, 0)
+			c.Tele.Rec().Event(uint64(at), obs.EvChecksumFail, a, 0)
 		}
 	}
 }
@@ -526,9 +512,9 @@ func (c *Controller) migrate(at mem.Cycle) {
 			// stay.
 			continue
 		}
-		c.stats.MigrationsOut++
-		if c.tele.On() {
-			c.tele.Rec().Event(uint64(at), obs.EvMigrationOut, e.phys, 0)
+		c.Counts.MigrationsOut++
+		if c.Tele.On() {
+			c.Tele.Rec().Event(uint64(at), obs.EvMigrationOut, e.phys, 0)
 		}
 		if e.clastAddr == e.homeAddr {
 			c.freePageEntry(e)
@@ -631,9 +617,9 @@ func (c *Controller) migrate(at mem.Cycle) {
 			c.freePageEntry(pe)
 			continue
 		}
-		c.stats.MigrationsIn++
-		if c.tele.On() {
-			c.tele.Rec().Event(uint64(at), obs.EvMigrationIn, pageIdx, 0)
+		c.Counts.MigrationsIn++
+		if c.Tele.On() {
+			c.Tele.Rec().Event(uint64(at), obs.EvMigrationIn, pageIdx, 0)
 		}
 		if gd := c.guardIssue(at, 0); gd > rdMax {
 			rdMax = gd

@@ -98,9 +98,6 @@ type Config struct {
 	// WatermarkEntries is the table-allocation headroom below capacity at
 	// which the controller requests an early checkpoint.
 	WatermarkEntries int
-	// DRAM and NVM are the device timing specs.
-	DRAM mem.DeviceSpec
-	NVM  mem.DeviceSpec
 	// Generations is the number of retained checkpoint generations K
 	// (header slots + metadata blob areas). 0 means the classic ping-pong
 	// pair (K=2). With K > 2, recovery walks backward past damaged
@@ -130,8 +127,6 @@ func DefaultConfig() Config {
 		Cooperation:      true,
 		Mode:             ModeDual,
 		WatermarkEntries: 128,
-		DRAM:             mem.DRAMSpec(),
-		NVM:              mem.NVMSpec(),
 	}
 }
 

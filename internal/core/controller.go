@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"thynvm/internal/alloc"
 	"thynvm/internal/commit"
 	"thynvm/internal/ctl"
@@ -15,7 +13,7 @@ import (
 // devices, the BTT and PTT translation tables, and the dual-scheme
 // checkpointing state machine. It implements ctl.Controller.
 type Controller struct {
-	ctl.Durable // fault hooks, recovery cut and report, over nvm
+	ctl.Durable // the shared shell over nvm and dram (stats, telemetry, faults, recovery)
 
 	cfg  Config
 	nvm  *mem.Device
@@ -31,19 +29,16 @@ type Controller struct {
 
 	// NVM hardware-address-space allocation beyond the Home region: the
 	// commit metadata page (K header slots and the generation-safety guard,
-	// see meta), then bump-allocated checkpoint slots and table-blob areas.
-	nvmBumpStart          uint64
-	nvmBump               uint64
-	nvmBlocks, nvmPages   slotPool // over nvmBump
+	// see meta), then checkpoint slots and table-blob areas, bump-allocated
+	// from meta.Bump.
+	nvmBlocks, nvmPages   slotPool // over meta.Bump
 	dramBump              uint64   // DRAM Working Data Region allocation
 	dramBlocks, dramPages slotPool // over dramBump
 
-	seq uint64 // sequence number of the next checkpoint commit
-
-	// meta is the commit metadata: header slots, table-blob areas, and the
-	// generation-safety guard, whose floor is raised durably before any
-	// write that destroys data an older generation depends on (integrity
-	// mode or K > 2; a no-op otherwise).
+	// meta is the commit metadata: the next sequence number, header slots,
+	// table-blob areas, and the generation-safety guard, whose floor is
+	// raised durably before any write that destroys data an older
+	// generation depends on (integrity mode or K > 2; a no-op otherwise).
 	meta *commit.Meta
 
 	epochID     uint64
@@ -71,9 +66,6 @@ type Controller struct {
 	brecScratch  *alloc.Region[tableRec]
 	precScratch  *alloc.Region[tableRec]
 	blobScratch  *alloc.Region[byte]
-
-	stats ctl.Stats
-	tele  ctl.EpochSampler
 }
 
 var _ ctl.Controller = (*Controller)(nil)
@@ -85,8 +77,8 @@ func New(cfg Config) (*Controller, error) {
 	}
 	c := &Controller{
 		cfg:        cfg,
-		nvm:        mem.NewDevice(cfg.NVM),
-		dram:       mem.NewDevice(cfg.DRAM),
+		nvm:        mem.NewDevice(mem.NVMSpec()),
+		dram:       mem.NewDevice(mem.DRAMSpec()),
 		pageStores: &radix.Table[uint32]{},
 	}
 	c.Dev, c.Vol = c.nvm, c.dram
@@ -97,13 +89,8 @@ func New(cfg Config) (*Controller, error) {
 	c.precScratch = alloc.NewRegion[tableRec](&c.epoch, cfg.PTTEntries)
 	c.blobScratch = alloc.NewRegion[byte](&c.epoch, 4096)
 	c.meta = commit.NewMeta("core", commit.ThyNVM, cfg.PhysBytes, cfg.Generations, cfg.Integrity, c.nvm.Storage())
-	if cfg.Integrity {
-		c.nvm.Storage().EnableIntegrity()
-	}
-	c.nvmBumpStart = c.meta.DataStart()
-	c.nvmBump = c.nvmBumpStart
-	c.nvmBlocks = slotPool{size: mem.BlockSize, bump: &c.nvmBump}
-	c.nvmPages = slotPool{size: mem.PageSize, bump: &c.nvmBump}
+	c.nvmBlocks = slotPool{size: mem.BlockSize, bump: &c.meta.Bump}
+	c.nvmPages = slotPool{size: mem.PageSize, bump: &c.meta.Bump}
 	c.dramBlocks = slotPool{size: mem.BlockSize, bump: &c.dramBump}
 	c.dramPages = slotPool{size: mem.PageSize, bump: &c.dramBump}
 	return c, nil
@@ -120,12 +107,6 @@ func MustNew(cfg Config) *Controller {
 
 // Config returns the controller's configuration.
 func (c *Controller) Config() Config { return c.cfg }
-
-// LoadHome pre-loads data into the Home region bypassing timing; intended
-// for test setup and workload initialization (pre-crash images).
-func (c *Controller) LoadHome(addr uint64, data []byte) {
-	c.nvm.Poke(addr, data)
-}
 
 // ---- hardware address space allocation ----
 
@@ -186,11 +167,11 @@ func (c *Controller) allocOverlayEntry(blockIdx, pageIdx uint64) *blockEntry {
 
 func (c *Controller) noteBTTPressure() {
 	live := c.blocks.Len()
-	if uint64(live) > c.stats.PeakBTTLive {
-		c.stats.PeakBTTLive = uint64(live)
+	if uint64(live) > c.Counts.PeakBTTLive {
+		c.Counts.PeakBTTLive = uint64(live)
 	}
 	if live > c.cfg.BTTEntries {
-		c.stats.TableSpills++
+		c.Counts.TableSpills++
 	}
 	if live >= c.cfg.BTTEntries-c.cfg.WatermarkEntries {
 		c.overflowReq = true
@@ -208,14 +189,14 @@ func (c *Controller) allocPageEntry(pageIdx uint64) *pageEntry {
 	}
 	c.pages.Set(pageIdx, e)
 	live := c.pages.Len()
-	if uint64(live) > c.stats.PeakPTTLive {
-		c.stats.PeakPTTLive = uint64(live)
+	if uint64(live) > c.Counts.PeakPTTLive {
+		c.Counts.PeakPTTLive = uint64(live)
 	}
 	if c.cfg.Mode == ModePageWriteback || c.cfg.Mode == ModePageRemap {
 		// Uniform page modes allocate on demand, so they need the same
 		// spill/early-checkpoint machinery the BTT has.
 		if live > c.cfg.PTTEntries {
-			c.stats.TableSpills++
+			c.Counts.TableSpills++
 		}
 		if live >= c.cfg.PTTEntries-c.cfg.WatermarkEntries/mem.BlocksPerPage-1 {
 			c.overflowReq = true
@@ -255,7 +236,7 @@ func (c *Controller) lookupLatency() mem.Cycle {
 func (c *Controller) chargeLookup(now mem.Cycle) mem.Cycle {
 	lat := c.lookupLatency()
 	if lat > mem.TableLookup {
-		c.tele.StallSpan(now+mem.TableLookup, now+lat, obs.CauseBTTMiss)
+		c.Tele.StallSpan(now+mem.TableLookup, now+lat, obs.CauseBTTMiss)
 	}
 	return now + lat
 }
@@ -269,18 +250,9 @@ func (c *Controller) sync(now mem.Cycle) {
 	}
 }
 
-func (c *Controller) checkAccess(addr uint64, n int) {
-	if n != mem.BlockSize || addr%mem.BlockSize != 0 {
-		panic(fmt.Sprintf("core: access must be one aligned block (addr=%#x n=%d)", addr, n))
-	}
-	if addr+mem.BlockSize > c.cfg.PhysBytes {
-		panic(fmt.Sprintf("core: physical address %#x beyond configured space %#x", addr, c.cfg.PhysBytes))
-	}
-}
-
 // readBlock is the uninstrumented ReadBlock body (see obs.go).
 func (c *Controller) readBlock(now mem.Cycle, addr uint64, buf []byte) mem.Cycle {
-	c.checkAccess(addr, len(buf))
+	ctl.CheckAccess(c.cfg.PhysBytes, addr, len(buf))
 	c.sync(now)
 	now = c.chargeLookup(now)
 	pageIdx := mem.PageIndex(addr)
@@ -308,7 +280,7 @@ func (c *Controller) readBlock(now mem.Cycle, addr uint64, buf []byte) mem.Cycle
 
 // writeBlock is the uninstrumented WriteBlock body (see obs.go).
 func (c *Controller) writeBlock(now mem.Cycle, addr uint64, data []byte) mem.Cycle {
-	c.checkAccess(addr, len(data))
+	ctl.CheckAccess(c.cfg.PhysBytes, addr, len(data))
 	c.sync(now)
 	now = c.chargeLookup(now)
 	pageIdx := mem.PageIndex(addr)
@@ -373,26 +345,26 @@ func (c *Controller) writeViaPage(now mem.Cycle, pe *pageEntry, addr uint64, dat
 			// entry for the overlap window and lands in the DRAM Working
 			// Data Region. (The checkpoint snapshot was taken at
 			// BeginCheckpoint, so the in-flight writeback is unaffected.)
-			c.stats.BufferedBlockWrites++
+			c.Counts.BufferedBlockWrites++
 			blockIdx := mem.BlockIndex(addr)
 			if _, ok := c.blocks.Get(blockIdx); !ok {
 				c.allocOverlayEntry(blockIdx, pe.phys)
 			}
 			pe.dirty = true
 			ack := c.dram.Write(now, pe.dramAddr+off, data, mem.SrcCPU)
-			c.tele.StallSpan(now, ack, obs.CauseQueueFull)
+			c.Tele.StallSpan(now, ack, obs.CauseQueueFull)
 			return ack
 		}
 		// Without cooperation the store stalls until the writeback
 		// completes (this is the stall Figure 8 attributes to
 		// checkpointing in single-scheme designs).
-		c.stats.CkptStall += pe.flushDone - now
-		c.tele.StallSpan(now, pe.flushDone, obs.CauseWriteBuffer)
+		c.Counts.CkptStall += pe.flushDone - now
+		c.Tele.StallSpan(now, pe.flushDone, obs.CauseWriteBuffer)
 		now = pe.flushDone
 	}
 	pe.dirty = true
 	ack := c.dram.Write(now, pe.dramAddr+off, data, mem.SrcCPU)
-	c.tele.StallSpan(now, ack, obs.CauseQueueFull)
+	c.Tele.StallSpan(now, ack, obs.CauseQueueFull)
 	return ack
 }
 
@@ -409,8 +381,8 @@ func (c *Controller) writeViaBlock(now mem.Cycle, addr uint64, data []byte) mem.
 		// pipeline instead of growing metadata without bound.
 		for c.blocks.Len() >= 2*c.cfg.BTTEntries && c.ckptInFlight {
 			if c.commitDone > now {
-				c.stats.CkptStall += c.commitDone - now
-				c.tele.StallSpan(now, c.commitDone, obs.CauseCkptDrain)
+				c.Counts.CkptStall += c.commitDone - now
+				c.Tele.StallSpan(now, c.commitDone, obs.CauseCkptDrain)
 				now = c.commitDone
 			}
 			c.finalize()
@@ -462,7 +434,7 @@ func (c *Controller) writeViaBlock(now mem.Cycle, addr uint64, data []byte) mem.
 	switch be.active {
 	case activeDRAM:
 		ack := c.dram.Write(now, be.bufAddr, data, mem.SrcCPU)
-		c.tele.StallSpan(now, ack, obs.CauseQueueFull)
+		c.Tele.StallSpan(now, ack, obs.CauseQueueFull)
 		return ack
 	case activeNVM:
 		// Later stores reuse the slot the first store already guarded;
@@ -471,7 +443,7 @@ func (c *Controller) writeViaBlock(now mem.Cycle, addr uint64, data []byte) mem.
 		if done > c.execWriteMaxDone {
 			c.execWriteMaxDone = done
 		}
-		c.tele.StallSpan(now, ack, obs.CauseQueueFull)
+		c.Tele.StallSpan(now, ack, obs.CauseQueueFull)
 		return ack
 	}
 	// First store of the epoch to this block.
@@ -485,10 +457,10 @@ func (c *Controller) writeViaBlock(now mem.Cycle, addr uint64, data []byte) mem.
 		}
 		be.active = activeDRAM
 		if c.cfg.Mode != ModeBlockWriteback {
-			c.stats.BufferedBlockWrites++
+			c.Counts.BufferedBlockWrites++
 		}
 		ack := c.dram.Write(now, be.bufAddr, data, mem.SrcCPU)
-		c.tele.StallSpan(now, ack, obs.CauseQueueFull)
+		c.Tele.StallSpan(now, ack, obs.CauseQueueFull)
 		return ack
 	}
 	be.active = activeNVM
@@ -501,7 +473,7 @@ func (c *Controller) writeViaBlock(now mem.Cycle, addr uint64, data []byte) mem.
 	if done > c.execWriteMaxDone {
 		c.execWriteMaxDone = done
 	}
-	c.tele.StallSpan(now, ack, obs.CauseQueueFull)
+	c.Tele.StallSpan(now, ack, obs.CauseQueueFull)
 	return ack
 }
 
@@ -532,8 +504,8 @@ func (c *Controller) writePageRemap(now mem.Cycle, pageIdx uint64, addr uint64, 
 			// The target slot still backs the durable checkpoint; the
 			// store must wait for the in-flight commit.
 			if c.commitDone > now {
-				c.stats.CkptStall += c.commitDone - now
-				c.tele.StallSpan(now, c.commitDone, obs.CauseCkptDrain)
+				c.Counts.CkptStall += c.commitDone - now
+				c.Tele.StallSpan(now, c.commitDone, obs.CauseCkptDrain)
 				now = c.commitDone
 			}
 			c.finalize()
@@ -558,7 +530,7 @@ func (c *Controller) writePageRemap(now mem.Cycle, pageIdx uint64, addr uint64, 
 	if done > c.execWriteMaxDone {
 		c.execWriteMaxDone = done
 	}
-	c.tele.StallSpan(now, ack, obs.CauseQueueFull)
+	c.Tele.StallSpan(now, ack, obs.CauseQueueFull)
 	return ack
 }
 
@@ -595,21 +567,12 @@ func (c *Controller) peekBlock(addr uint64, buf []byte) {
 	c.nvm.Peek(addr, buf)
 }
 
-// Stats implements ctl.Controller.
-func (c *Controller) Stats() ctl.Stats {
-	s := c.stats
-	s.NVM = c.nvm.Stats()
-	s.DRAM = c.dram.Stats()
-	return s
-}
-
-// ResetStats implements ctl.Controller.
+// ResetStats implements ctl.Controller, keeping the table peaks: they
+// describe the tables' contents, which a reset leaves in place.
 func (c *Controller) ResetStats() {
-	peakB, peakP := c.stats.PeakBTTLive, c.stats.PeakPTTLive
-	c.stats = ctl.Stats{PeakBTTLive: peakB, PeakPTTLive: peakP}
-	c.nvm.ResetStats()
-	c.dram.ResetStats()
-	c.tele.Rebase(c.Stats())
+	peakB, peakP := c.Counts.PeakBTTLive, c.Counts.PeakPTTLive
+	c.Durable.ResetStats()
+	c.Counts.PeakBTTLive, c.Counts.PeakPTTLive = peakB, peakP
 }
 
 // LiveEntries reports current BTT and PTT occupancy (tests, reports).

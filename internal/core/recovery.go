@@ -142,13 +142,10 @@ func (c *Controller) Crash(at mem.Cycle) {
 	c.ckptInFlight = false
 	c.overflowReq = false
 	c.homeCopyMaxDone = 0
-	// The blob-area table and the volatile mirror of the durable
-	// generation-safety floor are lost; Recover restores the floor from the
-	// guard record.
+	// The next sequence number, the bump cursor, the blob-area table and
+	// the volatile mirror of the durable generation-safety floor are lost;
+	// Recover restores them from durable metadata.
 	c.meta.Crash()
-	// nvmBump and seq are restored by Recover from durable metadata.
-	c.nvmBump = c.nvmBumpStart
-	c.seq = 0
 }
 
 // Recover implements ctl.Controller: it reloads the newest valid checkpoint
@@ -176,14 +173,14 @@ func (c *Controller) Recover() ([]byte, mem.Cycle, error) {
 		}
 		epochID = img.epochID
 		return img.cpuState, copies, nil
-	}, c.nvmBumpStart, &c.nvmBump, &c.seq)
+	})
 	if err != nil {
 		return nil, t, err
 	}
 	c.epochID = epochID
 	c.epochStart = t
-	if rep := c.Last; rep.Class == ctl.RecoveredFallback && c.tele.On() {
-		c.tele.Rec().Event(uint64(t), obs.EvRecoveryFallback, rep.Generation, uint64(rep.FallbackDepth))
+	if rep := c.Last; rep.Class == ctl.RecoveredFallback && c.Tele.On() {
+		c.Tele.Rec().Event(uint64(t), obs.EvRecoveryFallback, rep.Generation, uint64(rep.FallbackDepth))
 	}
 	return cpu, t, nil
 }

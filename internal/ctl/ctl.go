@@ -110,13 +110,73 @@ type Controller interface {
 
 // Durable implements the part of Controller every built-in system shares:
 // the fault hooks forwarded to its durable device, the armed recovery cut,
-// the last recovery's report and the release of its devices. A controller
-// embeds it; its Recover consumes Cut and records Last.
+// the last recovery's report, the statistics, the telemetry attach and the
+// release of its devices. A controller embeds it; its Recover consumes Cut
+// and records Last, and it counts into Counts and samples through Tele.
 type Durable struct {
-	Dev  *mem.Device    // the durable device
-	Vol  *mem.Device    // the volatile device; nil for a one-device system
-	Cut  mem.Cycle      // armed recovery interrupt; 0 when disarmed
-	Last RecoveryReport // the last Recover's report
+	Dev    *mem.Device    // the durable device
+	Vol    *mem.Device    // the volatile device; nil for a one-device system
+	Cut    mem.Cycle      // armed recovery interrupt; 0 when disarmed
+	Last   RecoveryReport // the last Recover's report
+	Counts Stats          // the controller's own counters, without the devices'
+	Tele   EpochSampler   // the per-epoch telemetry sampler
+}
+
+// Stats implements Controller: the controller's counters plus its devices'.
+// A one-device system reports its device under that device's kind.
+func (d *Durable) Stats() Stats {
+	st := d.Counts
+	switch {
+	case d.Vol != nil:
+		st.NVM, st.DRAM = d.Dev.Stats(), d.Vol.Stats()
+	case d.Dev.Spec().Name == "DRAM":
+		st.DRAM = d.Dev.Stats()
+	default:
+		st.NVM = d.Dev.Stats()
+	}
+	return st
+}
+
+// ResetStats implements Controller: it zeroes the counters and the devices'
+// and rebases the epoch sampler on them.
+func (d *Durable) ResetStats() {
+	d.Counts = Stats{}
+	d.Dev.ResetStats()
+	if d.Vol != nil {
+		d.Vol.ResetStats()
+	}
+	d.Tele.Rebase(d.Stats())
+}
+
+// LoadHome pre-loads data into the Home region of the durable device,
+// bypassing timing (test setup and workload initialization).
+func (d *Durable) LoadHome(addr uint64, data []byte) { d.Dev.Poke(addr, data) }
+
+// Attach is SetRecorder's shared body: it attaches r to the devices and the
+// epoch sampler, whose deltas rebase at the current stats, and, when r
+// records, opens the root span of the running epoch, which started at start.
+// nil detaches.
+func (d *Durable) Attach(r obs.Recorder, start mem.Cycle, epoch uint64) {
+	d.Dev.SetRecorder(r)
+	if d.Vol != nil {
+		d.Vol.SetRecorder(r)
+	}
+	d.Tele.Attach(r, d.Stats())
+	if d.Tele.On() {
+		r.BeginSpan(obs.TrackCPU, uint64(start), obs.SpanEpoch, obs.CauseExec, epoch)
+	}
+}
+
+// CheckAccess panics unless n bytes at addr are one aligned block inside a
+// physBytes address space: a controller access that is not is a harness
+// bug.
+func CheckAccess(physBytes, addr uint64, n int) {
+	if n != mem.BlockSize || addr%mem.BlockSize != 0 {
+		panic(fmt.Sprintf("ctl: access must be one aligned block (addr=%#x n=%d)", addr, n))
+	}
+	if addr+mem.BlockSize > physBytes {
+		panic(fmt.Sprintf("ctl: physical address %#x beyond configured space %#x", addr, physBytes))
+	}
 }
 
 // Release implements Controller.

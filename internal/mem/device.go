@@ -171,15 +171,16 @@ func (d *Device) Spec() DeviceSpec { return d.spec }
 func (d *Device) Storage() *Storage { return d.store }
 
 // SetRecorder attaches a telemetry recorder; read and write access
-// latencies are observed into the given histograms. Passing nil (or a
-// recorder whose Enabled is false) detaches instrumentation entirely.
-func (d *Device) SetRecorder(r obs.Recorder, readHist, writeHist obs.HistID) {
+// latencies are observed into the histograms, and spans go on the track, of
+// the device's kind: DRAM for a spec named "DRAM", NVM otherwise. Passing
+// nil (or a recorder whose Enabled is false) detaches instrumentation
+// entirely.
+func (d *Device) SetRecorder(r obs.Recorder) {
 	d.rec = r
 	d.recOn = r != nil && r.Enabled()
-	d.readHist, d.writeHist = readHist, writeHist
-	d.track = obs.TrackNVM
-	if readHist == obs.HistDRAMRead {
-		d.track = obs.TrackDRAM
+	d.readHist, d.writeHist, d.track = obs.HistNVMRead, obs.HistNVMWrite, obs.TrackNVM
+	if d.spec.Name == "DRAM" {
+		d.readHist, d.writeHist, d.track = obs.HistDRAMRead, obs.HistDRAMWrite, obs.TrackDRAM
 	}
 }
 

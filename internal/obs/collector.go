@@ -13,7 +13,7 @@ type Collector struct {
 	// which kinds are kept individually); Attrib holds the per-epoch
 	// cycle-attribution rows; Agg is the (track, kind, cause) aggregate.
 	Spans  []Span
-	Attrib []EpochAttrib
+	Attrib Attribution
 	Agg    [NumTracks][NumSpanKinds][NumCauses]AggCell
 
 	stacks  [NumTracks][]spanFrame

@@ -9,7 +9,7 @@ package obs
 // the depth-0 span is the epoch root, covering exactly one epoch from
 // boundary to boundary, so the self times of an epoch's spans partition
 // its cycles: per-epoch attribution rows sum exactly to End-Start, and
-// consecutive rows tile the run (CheckAttribution verifies both).
+// consecutive rows tile the run (Attribution.Check verifies both).
 //
 // High-volume kinds (per-block cache fills/writebacks, per-lookup BTT
 // misses) are folded into the aggregate table only and not retained as
@@ -175,7 +175,7 @@ type Span struct {
 }
 
 // EpochAttrib is one per-epoch cycle-attribution row: the epoch's CPU
-// cycles partitioned by cause. Invariant (CheckAttribution): the Cycles
+// cycles partitioned by cause. Invariant (Attribution.Check): the Cycles
 // entries sum exactly to End-Start, and consecutive rows tile the run.
 type EpochAttrib struct {
 	Epoch  uint64
@@ -306,12 +306,15 @@ func (c *Collector) OpenSpans() int {
 	return n
 }
 
-// CheckAttribution verifies the accounting invariant over the recorded
-// per-epoch rows: every row's cause cycles sum exactly to its End-Start,
-// and consecutive rows tile the timeline (row[i].End == row[i+1].Start).
-func (c *Collector) CheckAttribution() error {
-	for i := range c.Attrib {
-		r := &c.Attrib[i]
+// Attribution is a run's per-epoch cycle-attribution rows, in epoch order.
+type Attribution []EpochAttrib
+
+// Check verifies the accounting invariant over the rows: every row's cause
+// cycles sum exactly to its End-Start, and consecutive rows tile the
+// timeline (row[i].End == row[i+1].Start).
+func (a Attribution) Check() error {
+	for i := range a {
+		r := &a[i]
 		var sum uint64
 		for _, v := range r.Cycles {
 			sum += v
@@ -319,11 +322,22 @@ func (c *Collector) CheckAttribution() error {
 		if sum != r.End-r.Start {
 			return attribError{row: i, epoch: r.Epoch, got: sum, want: r.End - r.Start, tiling: false}
 		}
-		if i > 0 && c.Attrib[i-1].End != r.Start {
-			return attribError{row: i, epoch: r.Epoch, got: c.Attrib[i-1].End, want: r.Start, tiling: true}
+		if i > 0 && a[i-1].End != r.Start {
+			return attribError{row: i, epoch: r.Epoch, got: a[i-1].End, want: r.Start, tiling: true}
 		}
 	}
 	return nil
+}
+
+// Sum returns the total cycles attributed to each cause across all rows.
+func (a Attribution) Sum() [NumCauses]uint64 {
+	var t [NumCauses]uint64
+	for i := range a {
+		for cs, v := range a[i].Cycles {
+			t[cs] += v
+		}
+	}
+	return t
 }
 
 // attribError reports a broken accounting invariant without importing fmt
@@ -359,16 +373,4 @@ func itoa(v uint64) string {
 		v /= 10
 	}
 	return string(buf[i:])
-}
-
-// SumAttrib returns the total cycles attributed to each cause across all
-// recorded epoch rows.
-func (c *Collector) SumAttrib() [NumCauses]uint64 {
-	var t [NumCauses]uint64
-	for i := range c.Attrib {
-		for cs, v := range c.Attrib[i].Cycles {
-			t[cs] += v
-		}
-	}
-	return t
 }

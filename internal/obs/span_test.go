@@ -66,7 +66,7 @@ func TestSpanSelfTimeAndNesting(t *testing.T) {
 
 func TestSpanAttributionInvariant(t *testing.T) {
 	c := spanCollector()
-	if err := c.CheckAttribution(); err != nil {
+	if err := c.Attrib.Check(); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.Attrib) != 2 {
@@ -96,14 +96,14 @@ func TestSpanAttributionInvariant(t *testing.T) {
 func TestSpanAttributionDetectsBrokenSum(t *testing.T) {
 	c := spanCollector()
 	c.Attrib[0].Cycles[CauseExec]++
-	if err := c.CheckAttribution(); err == nil {
-		t.Fatal("CheckAttribution accepted a row whose causes do not sum to End-Start")
+	if err := c.Attrib.Check(); err == nil {
+		t.Fatal("Attribution.Check accepted a row whose causes do not sum to End-Start")
 	}
 	c = spanCollector()
 	c.Attrib[1].Start++
 	c.Attrib[1].Cycles[CauseExec]-- // keep the sum valid so only tiling breaks
-	if err := c.CheckAttribution(); err == nil || !strings.Contains(err.Error(), "tile") {
-		t.Fatalf("CheckAttribution accepted non-tiling rows (err=%v)", err)
+	if err := c.Attrib.Check(); err == nil || !strings.Contains(err.Error(), "tile") {
+		t.Fatalf("Attribution.Check accepted non-tiling rows (err=%v)", err)
 	}
 }
 

@@ -1,6 +1,9 @@
 package thynvm
 
-import "thynvm/internal/alloc"
+import (
+	"thynvm/internal/alloc"
+	"thynvm/internal/kv"
+)
 
 // KVArena is the allocator backing a key-value store's nodes and values.
 // Its bookkeeping is application state: serialize it into the checkpointed
@@ -30,24 +33,11 @@ func RestoreArena(b []byte) (*KVArena, error) {
 	return &KVArena{arena: ar}, nil
 }
 
-// InUseBytes reports live allocation volume.
-func (a *KVArena) InUseBytes() uint64 { return a.arena.InUseBytes() }
-
-// RunKVMixPreload inserts ops values of valSize bytes (pure-insert phase
-// used to build a store before a measured run).
-func RunKVMixPreload(st KVStore, ops, valSize int, keys uint64, seed int64) (uint64, error) {
-	stats, err := kvRunMixPreload(st, ops, valSize, keys, seed)
-	if err != nil {
-		return 0, err
-	}
-	return stats.ExecutedOperations, nil
-}
-
 // RunKVMix executes a deterministic search/insert/delete transaction mix
 // against a store (see internal/kv.RunMix): ops transactions with values of
 // valSize bytes over a key space of the given size.
 func RunKVMix(st KVStore, ops, valSize int, keys uint64, seed int64) (executed uint64, err error) {
-	stats, err := kvRunMix(st, ops, valSize, keys, seed)
+	stats, err := kv.RunMix(st, kv.DefaultMix, ops, valSize, keys, seed)
 	if err != nil {
 		return 0, err
 	}

@@ -152,7 +152,7 @@ func TestCycleAttributionExact(t *testing.T) {
 			sys.Checkpoint()
 			sys.Drain()
 
-			if err := col.CheckAttribution(); err != nil {
+			if err := col.Attrib.Check(); err != nil {
 				t.Fatal(err)
 			}
 			if len(col.Attrib) == 0 {
@@ -166,8 +166,8 @@ func TestCycleAttributionExact(t *testing.T) {
 				t.Errorf("last attribution row ends at %d, beyond current cycle %d", last.End, now)
 			}
 			// Total attributed cycles == span of the closed rows (telescoping
-			// over tiled rows; CheckAttribution verified each row).
-			byCause := col.SumAttrib()
+			// over tiled rows; Attribution.Check verified each row).
+			byCause := col.Attrib.Sum()
 			var total uint64
 			for _, v := range byCause {
 				total += v

@@ -59,18 +59,82 @@ func digest(b []byte) string {
 // paths all contribute to the digested telemetry.
 func goldenRun(t *testing.T, k thynvm.SystemKind) goldenSystem {
 	t.Helper()
+	g, _ := goldenCapture(t, k, func(sys *thynvm.System) []thynvm.Result {
+		res := sys.Run(thynvm.RandomWorkload(1<<20, 2500, 7))
+		res2 := sys.Run(thynvm.StreamingWorkload(1<<20, 2500, 7))
+		sys.Drain()
+		sys.Crash()
+		if _, err := sys.Recover(); err != nil {
+			t.Fatalf("%v: recovery failed: %v", k, err)
+		}
+		res3 := sys.Run(thynvm.SlidingWorkload(1<<20, 2000, 9))
+		sys.Drain()
+		return []thynvm.Result{res, res2, res3}
+	})
+	return g
+}
+
+// goldenExtras are the commit shapes the fixed mix never reaches, keyed by
+// their golden entry: the ideal systems never ask for a checkpoint, so only
+// explicit Checkpoint calls close their epochs, and shadow paging flushes
+// mid-epoch only when a footprint well past its DRAM buffer (smallOpts: 256
+// pages, 1 MiB) fills it before the epoch ends.
+func goldenExtras(t *testing.T) map[string]goldenSystem {
+	t.Helper()
+	checkpoints := func(k thynvm.SystemKind) goldenSystem {
+		g, _ := goldenCapture(t, k, func(sys *thynvm.System) []thynvm.Result {
+			res := sys.Run(thynvm.RandomWorkload(1<<20, 2500, 7))
+			sys.Checkpoint()
+			res2 := sys.Run(thynvm.StreamingWorkload(1<<20, 2500, 7))
+			sys.Checkpoint()
+			sys.Crash()
+			if _, err := sys.Recover(); err != nil {
+				t.Fatalf("%v: recovery failed: %v", k, err)
+			}
+			res3 := sys.Run(thynvm.SlidingWorkload(1<<20, 2000, 9))
+			sys.Checkpoint()
+			sys.Drain()
+			return []thynvm.Result{res, res2, res3}
+		})
+		return g
+	}
+	pressure, col := goldenCapture(t, thynvm.SystemShadow, func(sys *thynvm.System) []thynvm.Result {
+		res := sys.Run(thynvm.RandomWorkload(1<<20, 2000, 7))
+		// One 3 MiB store leaves dirty blocks of 768 pages in the caches;
+		// the next checkpoint's cache flush fills the buffer mid-flush.
+		big := make([]byte, 3<<20)
+		for i := range big {
+			big[i] = byte(i % 251)
+		}
+		sys.Write(1<<20, big)
+		res2 := sys.Run(thynvm.SlidingWorkload(4<<20, 2000, 9))
+		sys.Drain()
+		return []thynvm.Result{res, res2}
+	})
+	forced := 0
+	for _, e := range col.Events {
+		if e.Kind == obs.EvCkptForced {
+			forced++
+		}
+	}
+	if forced == 0 {
+		t.Errorf("Shadow under buffer pressure recorded no %s event", obs.EvCkptForced)
+	}
+	return map[string]goldenSystem{
+		"IdealDRAM+checkpoints":  checkpoints(thynvm.SystemIdealDRAM),
+		"IdealNVM+checkpoints":   checkpoints(thynvm.SystemIdealNVM),
+		"Shadow+buffer-pressure": pressure,
+	}
+}
+
+// goldenCapture runs drive on a fresh system of kind k with a collector
+// attached and digests the collector's exports and drive's results.
+func goldenCapture(t *testing.T, k thynvm.SystemKind, drive func(*thynvm.System) []thynvm.Result) (goldenSystem, *obs.Collector) {
+	t.Helper()
 	sys := thynvm.MustNewSystem(k, smallOpts())
 	col := obs.NewCollector()
 	sys.SetRecorder(col)
-	res := sys.Run(thynvm.RandomWorkload(1<<20, 2500, 7))
-	res2 := sys.Run(thynvm.StreamingWorkload(1<<20, 2500, 7))
-	sys.Drain()
-	sys.Crash()
-	if _, err := sys.Recover(); err != nil {
-		t.Fatalf("%v: recovery failed: %v", k, err)
-	}
-	res3 := sys.Run(thynvm.SlidingWorkload(1<<20, 2000, 9))
-	sys.Drain()
+	results := drive(sys)
 
 	var jl, ch, me bytes.Buffer
 	if err := col.WriteJSONL(&jl); err != nil {
@@ -82,13 +146,16 @@ func goldenRun(t *testing.T, k thynvm.SystemKind) goldenSystem {
 	if err := col.WriteMetricsJSON(&me); err != nil {
 		t.Fatal(err)
 	}
-	return goldenSystem{
-		JSONL:        digest(jl.Bytes()),
-		Chrome:       digest(ch.Bytes()),
-		Metrics:      digest(me.Bytes()),
-		Cycles:       uint64(res.Cycles) + uint64(res2.Cycles) + uint64(res3.Cycles),
-		Instructions: res.Instructions + res2.Instructions + res3.Instructions,
+	g := goldenSystem{
+		JSONL:   digest(jl.Bytes()),
+		Chrome:  digest(ch.Bytes()),
+		Metrics: digest(me.Bytes()),
 	}
+	for _, r := range results {
+		g.Cycles += uint64(r.Cycles)
+		g.Instructions += r.Instructions
+	}
+	return g, col
 }
 
 // goldenMicroJSON runs a reduced micro sweep and digests its machine-
@@ -119,6 +186,10 @@ func TestGoldenOutputs(t *testing.T) {
 	for _, k := range thynvm.AllSystems() {
 		names = append(names, k.String())
 		got.Systems[k.String()] = goldenRun(t, k)
+	}
+	for name, g := range goldenExtras(t) {
+		names = append(names, name)
+		got.Systems[name] = g
 	}
 	sort.Strings(names)
 	got.MicroJSON = goldenMicroJSON(t)

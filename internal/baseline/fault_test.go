@@ -11,6 +11,7 @@ import (
 	"thynvm/internal/commit"
 	"thynvm/internal/ctl"
 	"thynvm/internal/mem"
+	"thynvm/internal/obs"
 )
 
 // Multi-generation fallback table: with K retained commit generations,
@@ -18,7 +19,19 @@ import (
 // generation; corrupting generations at or below the durable
 // generation-safety floor — or all of them — must refuse with a typed
 // unrecoverable verdict. The recovered image is always the exact image of
-// the generation recovery reports, never a blend.
+// the generation recovery reports, never a blend. Every fallback, and
+// nothing else, logs one recovery_fallback event.
+
+// fallbackEvents returns the recovery_fallback events col logged.
+func fallbackEvents(col *obs.Collector) []obs.Event {
+	var evs []obs.Event
+	for _, e := range col.Events {
+		if e.Kind == obs.EvRecoveryFallback {
+			evs = append(evs, e)
+		}
+	}
+	return evs
+}
 
 // corruptAt flips one byte of NVM at addr, bypassing timing.
 func corruptAt(nvm *mem.Device, addr uint64) {
@@ -126,10 +139,12 @@ func TestRecoveryFallbackGenerations(t *testing.T) {
 			wantRefusal := bestGen < floorGen
 			t.Run(fmt.Sprintf("%s-corrupt-newest-%d", scheme.name, k), func(t *testing.T) {
 				st := scheme.build(t)
+				col := obs.NewCollector()
+				st.ctrl.SetRecorder(col)
 				for i := 0; i < k; i++ {
 					corruptAt(st.nvm, st.blobAddr[committed-1-i]+16)
 				}
-				cpu, _, err := st.ctrl.Recover()
+				cpu, lat, err := st.ctrl.Recover()
 				rep := st.ctrl.LastRecovery()
 				if wantRefusal {
 					if !errors.Is(err, ctl.ErrUnrecoverable) {
@@ -137,6 +152,9 @@ func TestRecoveryFallbackGenerations(t *testing.T) {
 					}
 					if rep.Class != ctl.Unrecoverable {
 						t.Fatalf("corrupt newest %d of %d: report %+v, want detected-unrecoverable", k, committed, rep)
+					}
+					if evs := fallbackEvents(col); len(evs) != 0 {
+						t.Fatalf("corrupt newest %d of %d: refusal logged %v, want no fallback event", k, committed, evs)
 					}
 					return
 				}
@@ -156,6 +174,10 @@ func TestRecoveryFallbackGenerations(t *testing.T) {
 					t.Fatalf("corrupt newest %d of %d: report %+v, want fallback depth %d to generation %d",
 						k, committed, rep, k, bestGen)
 				}
+				want := obs.Event{Cycle: uint64(lat), Kind: obs.EvRecoveryFallback, A: uint64(bestGen), B: uint64(k)}
+				if evs := fallbackEvents(col); len(evs) != 1 || evs[0] != want {
+					t.Fatalf("corrupt newest %d of %d: fallback events %v, want [%v]", k, committed, evs, want)
+				}
 			})
 		}
 
@@ -163,9 +185,14 @@ func TestRecoveryFallbackGenerations(t *testing.T) {
 		// the newest generation.
 		t.Run(scheme.name+"-clean", func(t *testing.T) {
 			st := scheme.build(t)
+			col := obs.NewCollector()
+			st.ctrl.SetRecorder(col)
 			cpu, _, err := st.ctrl.Recover()
 			if err != nil {
 				t.Fatal(err)
+			}
+			if evs := fallbackEvents(col); len(evs) != 0 {
+				t.Fatalf("clean recovery logged %v, want no fallback event", evs)
 			}
 			newest := committed - 1
 			if string(cpu) != st.cpu[newest] {

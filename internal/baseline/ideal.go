@@ -5,7 +5,6 @@ import (
 
 	"thynvm/internal/ctl"
 	"thynvm/internal/mem"
-	"thynvm/internal/obs"
 )
 
 // Ideal is a single-device main memory that is *assumed* to provide crash
@@ -25,7 +24,6 @@ type Ideal struct {
 
 	cfg      Config
 	name     string
-	epochSt  mem.Cycle
 	cpuState []byte
 }
 
@@ -57,36 +55,21 @@ func newIdeal(cfg Config, spec mem.DeviceSpec, name string) *Ideal {
 	return &Ideal{Durable: ctl.Durable{Dev: dev}, cfg: cfg, name: name}
 }
 
-// Name identifies the system in reports.
-func (s *Ideal) Name() string { return s.name }
-
 // ReadBlock implements ctl.Controller.
 func (s *Ideal) ReadBlock(now mem.Cycle, addr uint64, buf []byte) mem.Cycle {
 	ctl.CheckAccess(s.cfg.PhysBytes, addr, len(buf))
-	done := s.Dev.Read(now, addr, buf)
-	if s.Tele.On() {
-		s.Tele.Rec().Latency(obs.HistBlockRead, uint64(done-now))
-	}
-	return done
+	return s.BlockRead(now, s.Dev.Read(now, addr, buf))
 }
 
 // WriteBlock implements ctl.Controller.
 func (s *Ideal) WriteBlock(now mem.Cycle, addr uint64, data []byte) mem.Cycle {
 	ctl.CheckAccess(s.cfg.PhysBytes, addr, len(data))
-	ack := s.Dev.Write(now, addr, data, mem.SrcCPU)
-	s.Tele.StallSpan(now, ack, obs.CauseQueueFull)
-	if s.Tele.On() {
-		s.Tele.Rec().Latency(obs.HistBlockWrite, uint64(ack-now))
-	}
-	return ack
+	return s.QueuedWrite(now, s.Dev.Write(now, addr, data, mem.SrcCPU))
 }
 
 // MetadataKind implements ctl.Controller: the ideal systems keep no
 // durable metadata.
 func (s *Ideal) MetadataKind(addr uint64) ctl.MetadataKind { return ctl.MetaNone }
-
-// CommitAt implements ctl.Controller: commits are instantaneous.
-func (s *Ideal) CommitAt() (bool, mem.Cycle) { return false, 0 }
 
 // CheckpointDue implements ctl.Controller: never. The paper's ideal
 // systems provide crash consistency at NO cost, so they must not trigger
@@ -96,31 +79,15 @@ func (s *Ideal) CheckpointDue(now mem.Cycle, cpuDirty bool) bool {
 	return false
 }
 
-// BeginCheckpoint implements ctl.Controller: free.
+// BeginCheckpoint implements ctl.Controller: free. The checkpoint commits
+// at the instant it begins, and the epoch root just rotates in place.
 func (s *Ideal) BeginCheckpoint(now mem.Cycle, cpuState []byte) mem.Cycle {
-	epoch := s.Counts.Epochs
-	epochStart := s.epochSt
 	s.cpuState = append([]byte(nil), cpuState...)
-	s.epochSt = now
-	s.Counts.Epochs++
-	s.Counts.Commits++
-	if s.Tele.On() {
-		rec := s.Tele.Rec()
-		rec.Event(uint64(now), obs.EvEpochEnd, epoch, 0)
-		rec.Event(uint64(now), obs.EvCkptBegin, epoch, 0)
-		rec.Event(uint64(now), obs.EvCkptComplete, epoch, 0)
-		rec.Latency(obs.HistCkptDrain, 0)
-		rec.Event(uint64(now), obs.EvEpochBegin, epoch+1, 0)
-		// Checkpointing is free: the epoch root just rotates in place.
-		rec.EndSpan(obs.TrackCPU, uint64(now))
-		rec.BeginSpan(obs.TrackCPU, uint64(now), obs.SpanEpoch, obs.CauseExec, epoch+1)
-		s.Tele.Sample(ctl.EpochMeta{Epoch: epoch, Start: epochStart, End: now}, s.Stats())
-	}
+	s.EndEpoch(now, s.Counts.Epochs, false)
+	s.Committed(now)
+	s.NextEpoch(now, ctl.EpochMeta{})
 	return now
 }
-
-// DrainCheckpoint implements ctl.Controller: nothing drains.
-func (s *Ideal) DrainCheckpoint(now mem.Cycle) mem.Cycle { return now }
 
 // Crash implements ctl.Controller. The ideal assumption: even in-flight
 // writes persist (consistency at no cost).
@@ -147,6 +114,3 @@ func (s *Ideal) Recover() ([]byte, mem.Cycle, error) {
 // PeekBlock implements ctl.Controller: the device reads the whole span at
 // once, replaying the writes still posted over it in posting order.
 func (s *Ideal) PeekBlock(addr uint64, buf []byte) { s.Dev.Peek(addr, buf) }
-
-// SetRecorder implements ctl.Controller.
-func (s *Ideal) SetRecorder(r obs.Recorder) { s.Attach(r, s.epochSt, s.Counts.Epochs) }

@@ -8,7 +8,6 @@ import (
 	"thynvm/internal/commit"
 	"thynvm/internal/ctl"
 	"thynvm/internal/mem"
-	"thynvm/internal/obs"
 	"thynvm/internal/radix"
 )
 
@@ -38,7 +37,6 @@ type Journal struct {
 
 	meta *commit.Meta // commit headers, journal areas, generation guard
 
-	epochSt  mem.Cycle
 	overflow bool
 }
 
@@ -61,9 +59,6 @@ func NewJournal(cfg Config) (*Journal, error) {
 	return j, nil
 }
 
-// Name identifies the system in reports.
-func (j *Journal) Name() string { return "Journal" }
-
 func (j *Journal) allocSlot() uint64 {
 	if n := len(j.freeSlots); n > 0 {
 		s := j.freeSlots[n-1]
@@ -75,20 +70,21 @@ func (j *Journal) allocSlot() uint64 {
 	return s
 }
 
-// ReadBlock implements ctl.Controller: buffered blocks are served from
-// DRAM, everything else from NVM home.
+// ReadBlock implements ctl.Controller.
 func (j *Journal) ReadBlock(now mem.Cycle, addr uint64, buf []byte) mem.Cycle {
 	ctl.CheckAccess(j.cfg.PhysBytes, addr, len(buf))
-	var done mem.Cycle
+	dev, a := j.visible(addr)
+	return j.BlockRead(now, dev.Read(now, a, buf))
+}
+
+// visible resolves where the software-visible copy of the block at addr
+// lives: its DRAM buffer slot while buffered, else NVM home. ReadBlock and
+// PeekBlock both read through it.
+func (j *Journal) visible(addr uint64) (*mem.Device, uint64) {
 	if slot, ok := j.dirty.Get(mem.BlockIndex(addr)); ok {
-		done = j.dram.Read(now, slot, buf)
-	} else {
-		done = j.nvm.Read(now, addr, buf)
+		return j.dram, slot
 	}
-	if j.Tele.On() {
-		j.Tele.Rec().Latency(obs.HistBlockRead, uint64(done-now))
-	}
-	return done
+	return j.nvm, addr
 }
 
 // WriteBlock implements ctl.Controller: updates coalesce in the DRAM buffer.
@@ -103,12 +99,7 @@ func (j *Journal) WriteBlock(now mem.Cycle, addr uint64, data []byte) mem.Cycle 
 			j.overflow = true
 		}
 	}
-	ack := j.dram.Write(now, slot, data, mem.SrcCPU)
-	j.Tele.StallSpan(now, ack, obs.CauseQueueFull)
-	if j.Tele.On() {
-		j.Tele.Rec().Latency(obs.HistBlockWrite, uint64(ack-now))
-	}
-	return ack
+	return j.QueuedWrite(now, j.dram.Write(now, slot, data, mem.SrcCPU))
 }
 
 // CheckpointDue implements ctl.Controller.
@@ -116,11 +107,11 @@ func (j *Journal) CheckpointDue(now mem.Cycle, cpuDirty bool) bool {
 	if j.overflow {
 		return true
 	}
-	if now < j.epochSt || now-j.epochSt < j.cfg.EpochLen {
+	if !j.EpochExpired(now, j.cfg.EpochLen) {
 		return false
 	}
 	if j.dirty.Len() == 0 && !cpuDirty {
-		j.epochSt = now
+		j.EpochStart = now
 		return false
 	}
 	return true
@@ -130,19 +121,8 @@ func (j *Journal) CheckpointDue(now mem.Cycle, cpuDirty bool) bool {
 // the returned resume cycle is after the journal has been written,
 // committed, and applied in place.
 func (j *Journal) BeginCheckpoint(now mem.Cycle, cpuState []byte) mem.Cycle {
-	start := now
-	epoch := j.Counts.Epochs
-	epochStart := j.epochSt
-	forced := j.overflow
+	j.EndEpoch(now, j.Counts.Epochs, j.overflow)
 	dirtyBlocks := uint64(j.dirty.Len())
-	if j.Tele.On() {
-		rec := j.Tele.Rec()
-		rec.Event(uint64(now), obs.EvEpochEnd, epoch, 0)
-		if forced {
-			rec.Event(uint64(now), obs.EvCkptForced, epoch, 0)
-		}
-		rec.Event(uint64(now), obs.EvCkptBegin, epoch, 0)
-	}
 	// Serialize the redo journal: CPU state + (block, data) records, in
 	// deterministic block order (the table scans in ascending key order).
 	idxs := j.idxScratch.Grab()
@@ -196,43 +176,15 @@ func (j *Journal) BeginCheckpoint(now mem.Cycle, cpuState []byte) mem.Cycle {
 	j.overflow = false
 	j.epoch.Reset()
 
-	// Stop-the-world: execution resumes when everything is durable.
-	j.Counts.Epochs++
-	j.Counts.Commits++
-	j.Counts.CkptBusy += applyDone - start
-	j.epochSt = applyDone
-	if j.Tele.On() {
-		rec := j.Tele.Rec()
-		drain := uint64(applyDone - start)
-		rec.Event(uint64(applyDone), obs.EvCkptComplete, epoch, drain)
-		rec.Latency(obs.HistCkptDrain, drain)
-		rec.Event(uint64(applyDone), obs.EvEpochBegin, epoch+1, 0)
-		// Journaling is stop-the-world: the whole journal write + apply is
-		// in-line staging on the CPU track, mirrored on the checkpoint
-		// track so the (zero) overlap is visible on the timeline.
-		rec.BeginSpan(obs.TrackCkpt, uint64(start), obs.SpanCkptDrain, obs.CauseCkptDrain, epoch)
-		rec.BeginSpan(obs.TrackCkpt, uint64(start), obs.SpanTablePersist, obs.CauseCkptDrain, uint64(len(blob)))
-		rec.EndSpan(obs.TrackCkpt, uint64(blobDone))
-		rec.EndSpan(obs.TrackCkpt, uint64(applyDone))
-		rec.BeginSpan(obs.TrackCPU, uint64(start), obs.SpanCkptStage, obs.CauseCkptStage, 0)
-		rec.EndSpan(obs.TrackCPU, uint64(applyDone))
-		rec.EndSpan(obs.TrackCPU, uint64(applyDone))
-		rec.BeginSpan(obs.TrackCPU, uint64(applyDone), obs.SpanEpoch, obs.CauseExec, epoch+1)
-		j.Tele.Sample(ctl.EpochMeta{
-			Epoch:       epoch,
-			Start:       epochStart,
-			End:         start,
-			DirtyBlocks: dirtyBlocks,
-			BTTLive:     dirtyBlocks,
-			Forced:      forced,
-		}, j.Stats())
-	}
+	// Stop-the-world: execution resumes when everything is durable. The
+	// whole journal write + apply is in-line staging on the CPU track,
+	// mirrored by the drain window on the checkpoint track, so the (zero)
+	// overlap is visible on the timeline.
+	j.Persisted(len(blob), blobDone)
+	j.Committed(applyDone)
+	j.NextEpoch(applyDone, ctl.EpochMeta{DirtyBlocks: dirtyBlocks, BTTLive: dirtyBlocks})
 	return applyDone
 }
-
-// DrainCheckpoint implements ctl.Controller: checkpoints are synchronous,
-// so nothing is ever draining.
-func (j *Journal) DrainCheckpoint(now mem.Cycle) mem.Cycle { return now }
 
 // Crash implements ctl.Controller.
 func (j *Journal) Crash(at mem.Cycle) {
@@ -248,10 +200,6 @@ func (j *Journal) Crash(at mem.Cycle) {
 	j.meta.Crash()
 }
 
-// CommitAt implements ctl.Controller: journaling is stop-the-world, so
-// nothing is ever draining when the harness can observe it.
-func (j *Journal) CommitAt() (bool, mem.Cycle) { return false, 0 }
-
 // MetadataKind implements ctl.Controller.
 func (j *Journal) MetadataKind(addr uint64) ctl.MetadataKind { return j.meta.MetadataKind(addr) }
 
@@ -264,13 +212,9 @@ func (j *Journal) MetadataKind(addr uint64) ctl.MetadataKind { return j.meta.Met
 // floor); otherwise recovery refuses with a typed unrecoverable verdict
 // rather than materialize a wrong image.
 func (j *Journal) Recover() ([]byte, mem.Cycle, error) {
-	cpu, t, err := j.meta.Recover(&j.Durable, j.Crash, "an undecodable journal", func(blob []byte) ([]byte, []commit.Copy, error) {
+	return j.meta.Recover(&j.Durable, j.Crash, "an undecodable journal", func(blob []byte) ([]byte, []commit.Copy, error) {
 		return decodeJournal(blob, j.meta)
 	})
-	if err == nil {
-		j.epochSt = t
-	}
-	return cpu, t, err
 }
 
 // decodeJournal decodes a journal blob — the length-prefixed CPU state, a
@@ -297,12 +241,8 @@ func decodeJournal(blob []byte, meta *commit.Meta) ([]byte, []commit.Copy, error
 // PeekBlock implements ctl.Controller, block by block.
 func (j *Journal) PeekBlock(addr uint64, buf []byte) {
 	for ; len(buf) > 0; addr, buf = addr+mem.BlockSize, buf[mem.BlockSize:] {
-		blk := buf[:mem.BlockSize]
-		if slot, ok := j.dirty.Get(mem.BlockIndex(addr)); ok {
-			j.dram.Peek(slot, blk)
-		} else {
-			j.nvm.Peek(addr, blk)
-		}
+		dev, a := j.visible(addr)
+		dev.Peek(a, buf[:mem.BlockSize])
 	}
 }
 
@@ -313,6 +253,3 @@ func (j *Journal) Stats() ctl.Stats {
 	st.PeakBTTLive = uint64(j.dirty.Len())
 	return st
 }
-
-// SetRecorder implements ctl.Controller.
-func (j *Journal) SetRecorder(r obs.Recorder) { j.Attach(r, j.epochSt, j.Counts.Epochs) }

@@ -40,7 +40,6 @@ type Shadow struct {
 
 	meta *commit.Meta // commit headers, page-table areas, generation guard
 
-	epochSt  mem.Cycle
 	lastCPU  []byte // CPU state of the most recent epoch checkpoint
 	overflow bool
 }
@@ -74,9 +73,6 @@ func NewShadow(cfg Config) (*Shadow, error) {
 	return s, nil
 }
 
-// Name identifies the system in reports.
-func (s *Shadow) Name() string { return "Shadow" }
-
 func (s *Shadow) allocDRAMPage() (uint64, bool) {
 	if n := len(s.freeDRAM); n > 0 {
 		a := s.freeDRAM[n-1]
@@ -106,24 +102,26 @@ func (s *Shadow) sortedPages() []*shadowPage {
 	return s.pageScratch.Keep(out)
 }
 
-// ReadBlock implements ctl.Controller: DRAM if buffered, else the committed
-// NVM copy.
+// ReadBlock implements ctl.Controller.
 func (s *Shadow) ReadBlock(now mem.Cycle, addr uint64, buf []byte) mem.Cycle {
 	ctl.CheckAccess(s.cfg.PhysBytes, addr, len(buf))
-	pageIdx := mem.PageIndex(addr)
+	dev, a := s.visible(addr)
+	return s.BlockRead(now, dev.Read(now, a, buf))
+}
+
+// visible resolves where the software-visible copy of the block at addr
+// lives: the page's DRAM buffer slot while buffered, else its committed NVM
+// copy (home or a shadow slot). ReadBlock and PeekBlock both read through
+// it.
+func (s *Shadow) visible(addr uint64) (*mem.Device, uint64) {
 	off := addr % mem.PageSize
-	var done mem.Cycle
-	if p, ok := s.pages.Get(pageIdx); ok && p.dramAddr != noSlot {
-		done = s.dram.Read(now, p.dramAddr+off, buf)
-	} else if p, ok := s.pages.Get(pageIdx); ok {
-		done = s.nvm.Read(now, p.committed+off, buf)
-	} else {
-		done = s.nvm.Read(now, addr, buf)
+	if p, ok := s.pages.Get(mem.PageIndex(addr)); ok {
+		if p.dramAddr != noSlot {
+			return s.dram, p.dramAddr + off
+		}
+		return s.nvm, p.committed + off
 	}
-	if s.Tele.On() {
-		s.Tele.Rec().Latency(obs.HistBlockRead, uint64(done-now))
-	}
-	return done
+	return s.nvm, addr
 }
 
 const noSlot = ^uint64(0)
@@ -154,6 +152,7 @@ func (s *Shadow) WriteBlock(now mem.Cycle, addr uint64, data []byte) mem.Cycle {
 			// exists; otherwise flush dirty pages (stop-the-world, with
 			// the CPU state of the last epoch boundary) and retry.
 			if !s.evictClean() {
+				s.BeginCkpt(now, s.Counts.Epochs, true)
 				now = s.flush(now, s.lastCPU, true)
 				if !s.evictClean() {
 					panic("baseline: shadow DRAM buffer still full after flush")
@@ -176,29 +175,17 @@ func (s *Shadow) WriteBlock(now mem.Cycle, addr uint64, data []byte) mem.Cycle {
 	if s.dramBump/mem.PageSize >= uint64(s.cfg.DRAMPages) && len(s.freeDRAM) == 0 {
 		s.overflow = true // ask for an epoch-boundary flush before we force one
 	}
-	ack := s.dram.Write(now, p.dramAddr+off, data, mem.SrcCPU)
-	s.Tele.StallSpan(now, ack, obs.CauseQueueFull)
-	if s.Tele.On() {
-		s.Tele.Rec().Latency(obs.HistBlockWrite, uint64(ack-now))
-	}
-	return ack
+	return s.QueuedWrite(now, s.dram.Write(now, p.dramAddr+off, data, mem.SrcCPU))
 }
 
 // flush writes every dirty page to its alternate shadow slot, commits the
-// page table, and (stop-the-world) returns when everything is durable.
-// Buffered pages are evicted (their DRAM slots freed) to make room.
-func (s *Shadow) flush(now mem.Cycle, cpuState []byte, ckptStall bool) mem.Cycle {
+// page table, and (stop-the-world) returns when everything is durable. The
+// caller has begun the checkpoint in the ledger; forced marks a mid-epoch
+// flush under DRAM-buffer pressure, which stalls the store that needed the
+// buffer.
+func (s *Shadow) flush(now mem.Cycle, cpuState []byte, forced bool) mem.Cycle {
 	start := now
 	maxDone := now
-	epoch := s.Counts.Epochs
-	if s.Tele.On() {
-		rec := s.Tele.Rec()
-		if ckptStall {
-			// Mid-epoch flush forced by DRAM-buffer pressure.
-			rec.Event(uint64(now), obs.EvCkptForced, epoch, 0)
-		}
-		rec.Event(uint64(now), obs.EvCkptBegin, epoch, 0)
-	}
 	// A dirty page's flush target is the shadow slot NOT currently
 	// committed — which some generation older than the previous one may
 	// still reference. Overwriting it destroys those older images, so the
@@ -247,24 +234,12 @@ func (s *Shadow) flush(now mem.Cycle, cpuState []byte, ckptStall bool) mem.Cycle
 	blob = s.blobScratch.Keep(blob)
 	blobDone, commitDone := s.meta.Commit(s.nvm, now, maxDone, now, blob)
 
-	s.Counts.Commits++
-	if ckptStall {
+	if forced {
 		s.Counts.CkptStall += commitDone - start
-		// Mid-epoch flush forced by buffer pressure: the store that
-		// triggered it stalls for the whole stop-the-world flush.
 		s.Tele.StallSpan(start, commitDone, obs.CauseWriteBuffer)
 	}
-	s.Counts.CkptBusy += commitDone - start
-	if s.Tele.On() {
-		drain := uint64(commitDone - start)
-		rec := s.Tele.Rec()
-		rec.Event(uint64(commitDone), obs.EvCkptComplete, epoch, drain)
-		rec.Latency(obs.HistCkptDrain, drain)
-		rec.BeginSpan(obs.TrackCkpt, uint64(start), obs.SpanCkptDrain, obs.CauseCkptDrain, epoch)
-		rec.BeginSpan(obs.TrackCkpt, uint64(start), obs.SpanTablePersist, obs.CauseCkptDrain, uint64(len(blob)))
-		rec.EndSpan(obs.TrackCkpt, uint64(blobDone))
-		rec.EndSpan(obs.TrackCkpt, uint64(commitDone))
-	}
+	s.Persisted(len(blob), blobDone)
+	s.Committed(commitDone)
 	s.epoch.Reset()
 	return commitDone
 }
@@ -293,7 +268,7 @@ func (s *Shadow) CheckpointDue(now mem.Cycle, cpuDirty bool) bool {
 		s.overflow = false
 		return true
 	}
-	if now < s.epochSt || now-s.epochSt < s.cfg.EpochLen {
+	if !s.EpochExpired(now, s.cfg.EpochLen) {
 		return false
 	}
 	if cpuDirty {
@@ -307,14 +282,12 @@ func (s *Shadow) CheckpointDue(now mem.Cycle, cpuDirty bool) bool {
 	if anyDirty {
 		return true
 	}
-	s.epochSt = now
+	s.EpochStart = now
 	return false
 }
 
 // BeginCheckpoint implements ctl.Controller: stop-the-world flush + commit.
 func (s *Shadow) BeginCheckpoint(now mem.Cycle, cpuState []byte) mem.Cycle {
-	epoch := s.Counts.Epochs
-	epochStart := s.epochSt
 	var dirtyPages uint64
 	if s.Tele.On() {
 		s.pages.Scan(func(_ uint64, p *shadowPage) bool {
@@ -323,32 +296,13 @@ func (s *Shadow) BeginCheckpoint(now mem.Cycle, cpuState []byte) mem.Cycle {
 			}
 			return true
 		})
-		s.Tele.Rec().Event(uint64(now), obs.EvEpochEnd, epoch, 0)
 	}
+	s.EndEpoch(now, s.Counts.Epochs, false)
 	s.lastCPU = append([]byte(nil), cpuState...)
 	done := s.flush(now, s.lastCPU, false)
-	s.Counts.Epochs++
-	s.epochSt = done
-	if s.Tele.On() {
-		rec := s.Tele.Rec()
-		rec.BeginSpan(obs.TrackCPU, uint64(now), obs.SpanCkptStage, obs.CauseCkptStage, 0)
-		rec.EndSpan(obs.TrackCPU, uint64(done))
-		rec.EndSpan(obs.TrackCPU, uint64(done))
-		rec.BeginSpan(obs.TrackCPU, uint64(done), obs.SpanEpoch, obs.CauseExec, s.Counts.Epochs)
-		s.Tele.Rec().Event(uint64(done), obs.EvEpochBegin, s.Counts.Epochs, 0)
-		s.Tele.Sample(ctl.EpochMeta{
-			Epoch:      epoch,
-			Start:      epochStart,
-			End:        now,
-			DirtyPages: dirtyPages,
-			PTTLive:    uint64(s.pages.Len()),
-		}, s.Stats())
-	}
+	s.NextEpoch(done, ctl.EpochMeta{DirtyPages: dirtyPages, PTTLive: uint64(s.pages.Len())})
 	return done
 }
-
-// DrainCheckpoint implements ctl.Controller: flushes are synchronous.
-func (s *Shadow) DrainCheckpoint(now mem.Cycle) mem.Cycle { return now }
 
 // Crash implements ctl.Controller.
 func (s *Shadow) Crash(at mem.Cycle) {
@@ -365,9 +319,6 @@ func (s *Shadow) Crash(at mem.Cycle) {
 	s.meta.Crash()
 }
 
-// CommitAt implements ctl.Controller: flushes are stop-the-world.
-func (s *Shadow) CommitAt() (bool, mem.Cycle) { return false, 0 }
-
 // MetadataKind implements ctl.Controller.
 func (s *Shadow) MetadataKind(addr uint64) ctl.MetadataKind { return s.meta.MetadataKind(addr) }
 
@@ -380,13 +331,9 @@ func (s *Shadow) MetadataKind(addr uint64) ctl.MetadataKind { return s.meta.Meta
 // otherwise recovery refuses with a typed unrecoverable verdict rather than
 // materialize a wrong image.
 func (s *Shadow) Recover() ([]byte, mem.Cycle, error) {
-	cpu, t, err := s.meta.Recover(&s.Durable, s.Crash, "an undecodable page table", func(blob []byte) ([]byte, []commit.Copy, error) {
+	return s.meta.Recover(&s.Durable, s.Crash, "an undecodable page table", func(blob []byte) ([]byte, []commit.Copy, error) {
 		return decodeShadow(blob, s.meta)
 	})
-	if err == nil {
-		s.epochSt = t
-	}
-	return cpu, t, err
 }
 
 // decodeShadow decodes a page-table blob — the length-prefixed CPU state, a
@@ -413,24 +360,7 @@ func decodeShadow(blob []byte, meta *commit.Meta) ([]byte, []commit.Copy, error)
 // PeekBlock implements ctl.Controller, block by block.
 func (s *Shadow) PeekBlock(addr uint64, buf []byte) {
 	for ; len(buf) > 0; addr, buf = addr+mem.BlockSize, buf[mem.BlockSize:] {
-		s.peekBlock(addr, buf[:mem.BlockSize])
+		dev, a := s.visible(addr)
+		dev.Peek(a, buf[:mem.BlockSize])
 	}
 }
-
-// peekBlock is PeekBlock for the one block at addr.
-func (s *Shadow) peekBlock(addr uint64, buf []byte) {
-	pageIdx := mem.PageIndex(addr)
-	off := addr % mem.PageSize
-	if p, ok := s.pages.Get(pageIdx); ok {
-		if p.dramAddr != noSlot {
-			s.dram.Peek(p.dramAddr+off, buf)
-			return
-		}
-		s.nvm.Peek(p.committed+off, buf)
-		return
-	}
-	s.nvm.Peek(addr, buf)
-}
-
-// SetRecorder implements ctl.Controller.
-func (s *Shadow) SetRecorder(r obs.Recorder) { s.Attach(r, s.epochSt, s.Counts.Epochs) }

@@ -27,7 +27,8 @@ type Decoder func(blob []byte) (cpu []byte, copies []Copy, err error)
 // of an undecodable one.
 //
 // Recover runs on the durable device d.Dev, consumes the cut armed in d and
-// records its report in d.Last. Once the recovery timeline passes the cut,
+// records its report in d.Last; a completed recovery restarts d's epoch
+// clock and logs a fallback (d.Recovered). Once the recovery timeline passes the cut,
 // it calls crash(cut) — the scheme's Crash, which drops the writes the
 // interrupted recovery had not completed — and returns
 // ctl.ErrRecoverInterrupted. A rerun is always safe: the copies only rewrite
@@ -61,7 +62,7 @@ func (m *Meta) Recover(d *ctl.Durable, crash func(mem.Cycle), what string, decod
 			d.Last = srep
 			return nil, t, err
 		}
-		d.Last = rep
+		d.Recovered(rep, t)
 		return nil, t, nil
 	}
 	best := sc.Best
@@ -110,6 +111,6 @@ func (m *Meta) Recover(d *ctl.Durable, crash func(mem.Cycle), what string, decod
 		return nil, t, err
 	}
 	m.Bump, m.Seq = alignPage(end), best.Seq+1
-	d.Last = rep
+	d.Recovered(rep, t)
 	return cpu, t, nil
 }

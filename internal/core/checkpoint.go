@@ -34,12 +34,12 @@ func (c *Controller) CheckpointDue(now mem.Cycle, cpuDirty bool) bool {
 	if c.overflowReq {
 		return true
 	}
-	if now < c.epochStart || now-c.epochStart < c.cfg.EpochLen {
+	if !c.EpochExpired(now, c.cfg.EpochLen) {
 		return false
 	}
 	if !cpuDirty && !c.hasWork() {
 		// Nothing to checkpoint anywhere: slide the epoch forward for free.
-		c.epochStart = now
+		c.EpochStart = now
 		return false
 	}
 	return true
@@ -86,18 +86,7 @@ func (c *Controller) BeginCheckpoint(now mem.Cycle, cpuState []byte) mem.Cycle {
 		c.finalize()
 	}
 	epoch := c.epochID
-	epochStart := c.epochStart
-	forced := c.overflowReq
-	if c.Tele.On() {
-		rec := c.Tele.Rec()
-		rec.Event(uint64(now), obs.EvEpochEnd, epoch, 0)
-		if forced {
-			rec.Event(uint64(now), obs.EvCkptForced, epoch, 0)
-		}
-		rec.Event(uint64(now), obs.EvCkptBegin, epoch, 0)
-	}
-	c.ckptEpoch = epoch
-	c.ckptStart = now
+	c.EndEpoch(now, epoch, c.overflowReq)
 	maxDone := now
 	var stagedBlocks, stagedPages uint64
 
@@ -238,48 +227,27 @@ func (c *Controller) BeginCheckpoint(now mem.Cycle, cpuState []byte) mem.Cycle {
 	})
 	c.pageStores = next
 
-	c.Counts.Epochs++
 	c.epochID++
 	c.overflowReq = false
 
 	// The processor resumes after the controller snapshots its tables; the
-	// cache-flush stall is accounted by the caller.
+	// cache-flush stall is accounted by the caller. The drain window stays
+	// open on the checkpoint track until finalize commits it.
 	resume := now + mem.TableLookup
-	c.epochStart = resume
+	c.Persisted(len(blob), blobDone)
 	if c.Tele.On() {
-		rec := c.Tele.Rec()
 		var drain uint64
 		if commitDone > resume {
 			drain = uint64(commitDone - resume)
 		}
-		rec.Event(uint64(resume), obs.EvCkptDrain, epoch, drain)
-		rec.Event(uint64(resume), obs.EvEpochBegin, c.epochID, 0)
-		// Background track: the drain window opens at the begin instant
-		// (closed in finalize at commitDone) with the table/state persist
-		// nested inside it. CPU track: the in-line staging span, then the
-		// epoch root rotates at the resume boundary so consecutive
-		// attribution rows tile the run.
-		rec.BeginSpan(obs.TrackCkpt, uint64(c.ckptStart), obs.SpanCkptDrain, obs.CauseCkptDrain, epoch)
-		rec.BeginSpan(obs.TrackCkpt, uint64(c.ckptStart), obs.SpanTablePersist, obs.CauseCkptDrain, uint64(len(blob)))
-		rec.EndSpan(obs.TrackCkpt, uint64(blobDone))
-		rec.BeginSpan(obs.TrackCPU, uint64(c.ckptStart), obs.SpanCkptStage, obs.CauseCkptStage, 0)
-		rec.EndSpan(obs.TrackCPU, uint64(resume))
-		rec.EndSpan(obs.TrackCPU, uint64(resume))
-		rec.BeginSpan(obs.TrackCPU, uint64(resume), obs.SpanEpoch, obs.CauseExec, c.epochID)
-		// The epoch sample is the last thing emitted: its deltas cover
-		// everything the closing epoch and its staging phase wrote, so the
-		// series sums to the cumulative Stats at this instant.
-		c.Tele.Sample(ctl.EpochMeta{
-			Epoch:       epoch,
-			Start:       epochStart,
-			End:         now,
-			DirtyBlocks: stagedBlocks,
-			DirtyPages:  stagedPages,
-			BTTLive:     uint64(c.blocks.Len()),
-			PTTLive:     uint64(c.pages.Len()),
-			Forced:      forced,
-		}, c.Stats())
+		c.Tele.Rec().Event(uint64(resume), obs.EvCkptDrain, epoch, drain)
 	}
+	c.NextEpoch(resume, ctl.EpochMeta{
+		DirtyBlocks: stagedBlocks,
+		DirtyPages:  stagedPages,
+		BTTLive:     uint64(c.blocks.Len()),
+		PTTLive:     uint64(c.pages.Len()),
+	})
 	return resume
 }
 
@@ -311,16 +279,7 @@ func (c *Controller) finalize() {
 		return
 	}
 	c.ckptInFlight = false
-	c.Counts.Commits++
-	c.Counts.CkptBusy += c.commitDone - c.ckptStart
-	if c.Tele.On() {
-		drain := uint64(c.commitDone - c.ckptStart)
-		c.Tele.Rec().Event(uint64(c.commitDone), obs.EvCkptComplete, c.ckptEpoch, drain)
-		c.Tele.Rec().Latency(obs.HistCkptDrain, drain)
-		// Close the background drain window opened at BeginCheckpoint (a
-		// no-op when the recorder attached mid-drain).
-		c.Tele.Rec().EndSpan(obs.TrackCkpt, uint64(c.commitDone))
-	}
+	c.Committed(c.commitDone)
 	at := c.commitDone
 
 	// Rotate versions: staged checkpoints become C_last.

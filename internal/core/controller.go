@@ -41,13 +41,10 @@ type Controller struct {
 	// generation depends on (integrity mode or K > 2; a no-op otherwise).
 	meta *commit.Meta
 
-	epochID     uint64
-	epochStart  mem.Cycle
+	epochID     uint64 // the running epoch's id, persisted in the table blob
 	overflowReq bool
 
 	ckptInFlight     bool
-	ckptEpoch        uint64 // epoch id of the in-flight checkpoint
-	ckptStart        mem.Cycle
 	commitDone       mem.Cycle
 	homeCopyMaxDone  mem.Cycle // migration image writes the next header must follow
 	execWriteMaxDone mem.Cycle // completion of exec-phase NVM working-copy writes
@@ -250,35 +247,53 @@ func (c *Controller) sync(now mem.Cycle) {
 	}
 }
 
-// readBlock is the uninstrumented ReadBlock body (see obs.go).
-func (c *Controller) readBlock(now mem.Cycle, addr uint64, buf []byte) mem.Cycle {
+// SetRecorder implements ctl.Controller: the running epoch's root span
+// carries ThyNVM's own epoch id, which recovery restores from the table blob.
+func (c *Controller) SetRecorder(r obs.Recorder) { c.Attach(r, c.epochID) }
+
+// ReadBlock implements ctl.Controller: the table lookup, then the block's
+// visible copy.
+func (c *Controller) ReadBlock(now mem.Cycle, addr uint64, buf []byte) mem.Cycle {
 	ctl.CheckAccess(c.cfg.PhysBytes, addr, len(buf))
 	c.sync(now)
-	now = c.chargeLookup(now)
-	pageIdx := mem.PageIndex(addr)
-	if pe, ok := c.pages.Get(pageIdx); ok && !pe.dying {
+	at := c.chargeLookup(now)
+	dev, a := c.visible(addr)
+	return c.BlockRead(now, dev.Read(at, a, buf))
+}
+
+// visible resolves where the software-visible copy of the block at addr
+// lives: a page entry's working copy (DRAM, or NVM under page remapping), a
+// block entry's Home, DRAM buffer or visible NVM slot, else Home. ReadBlock
+// and PeekBlock both read through it.
+func (c *Controller) visible(addr uint64) (*mem.Device, uint64) {
+	if pe, ok := c.pages.Get(mem.PageIndex(addr)); ok && !pe.dying {
+		off := addr - pe.homeAddr
 		if c.cfg.Mode == ModePageRemap {
-			off := addr - pe.homeAddr
-			return c.nvm.Read(now, pe.visibleNVMAddr()+off, buf)
+			return c.nvm, pe.visibleNVMAddr() + off
 		}
-		return c.dram.Read(now, pe.dramAddr+(addr-pe.homeAddr), buf)
+		return c.dram, pe.dramAddr + off
 	}
 	if be, ok := c.blocks.Get(mem.BlockIndex(addr)); ok {
 		switch {
 		case be.overlay || be.dying || be.lameDuck:
 			// Consolidated to Home (the copy, if still in flight, is
 			// forwarded by the device).
-			return c.nvm.Read(now, be.homeAddr, buf)
+			return c.nvm, be.homeAddr
 		case be.active == activeDRAM:
-			return c.dram.Read(now, be.bufAddr, buf)
-		default:
-			return c.nvm.Read(now, be.visibleAddr(), buf)
+			return c.dram, be.bufAddr
 		}
+		return c.nvm, be.visibleAddr()
 	}
-	return c.nvm.Read(now, addr, buf)
+	return c.nvm, addr
 }
 
-// writeBlock is the uninstrumented WriteBlock body (see obs.go).
+// WriteBlock implements ctl.Controller through the scheme's write path.
+func (c *Controller) WriteBlock(now mem.Cycle, addr uint64, data []byte) mem.Cycle {
+	return c.BlockWrite(now, c.writeBlock(now, addr, data))
+}
+
+// writeBlock is WriteBlock's body: the store through the page or block
+// scheme, returning the cycle the issuer may proceed.
 func (c *Controller) writeBlock(now mem.Cycle, addr uint64, data []byte) mem.Cycle {
 	ctl.CheckAccess(c.cfg.PhysBytes, addr, len(data))
 	c.sync(now)
@@ -538,33 +553,9 @@ func (c *Controller) writePageRemap(now mem.Cycle, pageIdx uint64, addr uint64, 
 // version, block by block.
 func (c *Controller) PeekBlock(addr uint64, buf []byte) {
 	for ; len(buf) > 0; addr, buf = addr+mem.BlockSize, buf[mem.BlockSize:] {
-		c.peekBlock(addr, buf[:mem.BlockSize])
+		dev, a := c.visible(addr)
+		dev.Peek(a, buf[:mem.BlockSize])
 	}
-}
-
-// peekBlock is PeekBlock for the one block at addr.
-func (c *Controller) peekBlock(addr uint64, buf []byte) {
-	if pe, ok := c.pages.Get(mem.PageIndex(addr)); ok && !pe.dying {
-		off := addr - pe.homeAddr
-		if c.cfg.Mode == ModePageRemap {
-			c.nvm.Peek(pe.visibleNVMAddr()+off, buf)
-			return
-		}
-		c.dram.Peek(pe.dramAddr+off, buf)
-		return
-	}
-	if be, ok := c.blocks.Get(mem.BlockIndex(addr)); ok {
-		switch {
-		case be.overlay || be.dying || be.lameDuck:
-			c.nvm.Peek(be.homeAddr, buf)
-		case be.active == activeDRAM:
-			c.dram.Peek(be.bufAddr, buf)
-		default:
-			c.nvm.Peek(be.visibleAddr(), buf)
-		}
-		return
-	}
-	c.nvm.Peek(addr, buf)
 }
 
 // ResetStats implements ctl.Controller, keeping the table peaks: they

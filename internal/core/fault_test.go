@@ -11,6 +11,7 @@ import (
 	"thynvm/internal/commit"
 	"thynvm/internal/ctl"
 	"thynvm/internal/mem"
+	"thynvm/internal/obs"
 )
 
 // Metadata fault-injection: recovery must tolerate torn or corrupted
@@ -21,6 +22,17 @@ import (
 func blobAddr(c *Controller, seq uint64) uint64 {
 	addr, _ := c.meta.AreaSpan(seq)
 	return addr
+}
+
+// fallbackEvents returns the recovery_fallback events col logged.
+func fallbackEvents(col *obs.Collector) []obs.Event {
+	var evs []obs.Event
+	for _, e := range col.Events {
+		if e.Kind == obs.EvRecoveryFallback {
+			evs = append(evs, e)
+		}
+	}
+	return evs
 }
 
 // corrupt flips a byte at the given NVM address.
@@ -124,6 +136,7 @@ func TestRecoveryFallsBackExactlyOneCommit(t *testing.T) {
 // newest commit's blob falls back exactly one generation; corrupting past
 // the durable generation-safety floor — or every retained commit —
 // refuses with a typed unrecoverable verdict, never a mismatched image.
+// Every fallback, and nothing else, logs one recovery_fallback event.
 func TestRecoveryFallbackGenerations(t *testing.T) {
 	// build commits three generations (values 1, 2, 3 at block 0) under a
 	// 4-deep rotation. Each epoch's store to block 0 overwrites the
@@ -151,10 +164,12 @@ func TestRecoveryFallbackGenerations(t *testing.T) {
 		wantRefusal := bestGen < floorGen
 		t.Run(fmt.Sprintf("corrupt-newest-%d", k), func(t *testing.T) {
 			c, addrs := build(t)
+			col := obs.NewCollector()
+			c.SetRecorder(col)
 			for i := 0; i < k; i++ {
 				corrupt(c, addrs[committed-1-i]+16)
 			}
-			cpu, _, err := c.Recover()
+			cpu, lat, err := c.Recover()
 			rep := c.LastRecovery()
 			if wantRefusal {
 				if !errors.Is(err, ctl.ErrUnrecoverable) {
@@ -162,6 +177,9 @@ func TestRecoveryFallbackGenerations(t *testing.T) {
 				}
 				if rep.Class != ctl.Unrecoverable {
 					t.Fatalf("corrupt newest %d of %d: report %+v, want detected-unrecoverable", k, committed, rep)
+				}
+				if evs := fallbackEvents(col); len(evs) != 0 {
+					t.Fatalf("corrupt newest %d of %d: refusal logged %v, want no fallback event", k, committed, evs)
 				}
 				return
 			}
@@ -177,12 +195,21 @@ func TestRecoveryFallbackGenerations(t *testing.T) {
 				t.Fatalf("corrupt newest %d of %d: report %+v, want fallback depth %d to generation %d",
 					k, committed, rep, k, bestGen)
 			}
+			want := obs.Event{Cycle: uint64(lat), Kind: obs.EvRecoveryFallback, A: uint64(bestGen), B: uint64(k)}
+			if evs := fallbackEvents(col); len(evs) != 1 || evs[0] != want {
+				t.Fatalf("corrupt newest %d of %d: fallback events %v, want [%v]", k, committed, evs, want)
+			}
 		})
 	}
 	t.Run("clean", func(t *testing.T) {
 		c, _ := build(t)
+		col := obs.NewCollector()
+		c.SetRecorder(col)
 		if _, _, err := c.Recover(); err != nil {
 			t.Fatal(err)
+		}
+		if evs := fallbackEvents(col); len(evs) != 0 {
+			t.Fatalf("clean recovery logged %v, want no fallback event", evs)
 		}
 		got, _ := readB(t, c, 0, 0)
 		if got != committed {

@@ -5,9 +5,7 @@ import (
 	"fmt"
 
 	"thynvm/internal/commit"
-	"thynvm/internal/ctl"
 	"thynvm/internal/mem"
-	"thynvm/internal/obs"
 )
 
 // Metadata persistence format. Each checkpoint commit writes a table blob
@@ -178,9 +176,5 @@ func (c *Controller) Recover() ([]byte, mem.Cycle, error) {
 		return nil, t, err
 	}
 	c.epochID = epochID
-	c.epochStart = t
-	if rep := c.Last; rep.Class == ctl.RecoveredFallback && c.Tele.On() {
-		c.Tele.Rec().Event(uint64(t), obs.EvRecoveryFallback, rep.Generation, uint64(rep.FallbackDepth))
-	}
 	return cpu, t, nil
 }

@@ -110,16 +110,20 @@ type Controller interface {
 
 // Durable implements the part of Controller every built-in system shares:
 // the fault hooks forwarded to its durable device, the armed recovery cut,
-// the last recovery's report, the statistics, the telemetry attach and the
-// release of its devices. A controller embeds it; its Recover consumes Cut
-// and records Last, and it counts into Counts and samples through Tele.
+// the last recovery's report, the statistics, the telemetry attach, the
+// epoch ledger (ledger.go), the stop-the-world CommitAt and DrainCheckpoint,
+// and the release of its devices. A controller embeds it; its Recover
+// consumes Cut and records Last, and it counts into Counts and samples
+// through Tele.
 type Durable struct {
-	Dev    *mem.Device    // the durable device
-	Vol    *mem.Device    // the volatile device; nil for a one-device system
-	Cut    mem.Cycle      // armed recovery interrupt; 0 when disarmed
-	Last   RecoveryReport // the last Recover's report
-	Counts Stats          // the controller's own counters, without the devices'
-	Tele   EpochSampler   // the per-epoch telemetry sampler
+	Dev        *mem.Device    // the durable device
+	Vol        *mem.Device    // the volatile device; nil for a one-device system
+	Cut        mem.Cycle      // armed recovery interrupt; 0 when disarmed
+	Last       RecoveryReport // the last Recover's report
+	Counts     Stats          // the controller's own counters, without the devices'
+	Tele       EpochSampler   // the per-epoch telemetry sampler
+	EpochStart mem.Cycle      // the cycle the running epoch began
+	ckpt       ckptMark       // the checkpoint begun last
 }
 
 // Stats implements Controller: the controller's counters plus its devices'.
@@ -154,16 +158,16 @@ func (d *Durable) LoadHome(addr uint64, data []byte) { d.Dev.Poke(addr, data) }
 
 // Attach is SetRecorder's shared body: it attaches r to the devices and the
 // epoch sampler, whose deltas rebase at the current stats, and, when r
-// records, opens the root span of the running epoch, which started at start.
-// nil detaches.
-func (d *Durable) Attach(r obs.Recorder, start mem.Cycle, epoch uint64) {
+// records, opens the root span of the running epoch, whose id is epoch and
+// which began at EpochStart. nil detaches.
+func (d *Durable) Attach(r obs.Recorder, epoch uint64) {
 	d.Dev.SetRecorder(r)
 	if d.Vol != nil {
 		d.Vol.SetRecorder(r)
 	}
 	d.Tele.Attach(r, d.Stats())
 	if d.Tele.On() {
-		r.BeginSpan(obs.TrackCPU, uint64(start), obs.SpanEpoch, obs.CauseExec, epoch)
+		r.BeginSpan(obs.TrackCPU, uint64(d.EpochStart), obs.SpanEpoch, obs.CauseExec, epoch)
 	}
 }
 

@@ -70,7 +70,8 @@ func TestDurableStats(t *testing.T) {
 func TestDurableAttach(t *testing.T) {
 	d := &Durable{Dev: mem.NewDevice(mem.NVMSpec()), Vol: mem.NewDevice(mem.DRAMSpec())}
 	col := obs.NewCollector()
-	d.Attach(col, 100, 7)
+	d.EpochStart = 100
+	d.Attach(col, 7)
 	if !d.Tele.On() || col.OpenSpans() != 1 {
 		t.Fatalf("attached: sampler on %v, %d open spans; want on and the epoch root", d.Tele.On(), col.OpenSpans())
 	}
@@ -83,7 +84,7 @@ func TestDurableAttach(t *testing.T) {
 			h[obs.HistNVMRead].Count, h[obs.HistNVMWrite].Count, h[obs.HistDRAMRead].Count, h[obs.HistDRAMWrite].Count)
 	}
 
-	d.Attach(nil, 200, 8)
+	d.Attach(nil, 8)
 	touch(d.Dev)
 	touch(d.Vol)
 	if d.Tele.On() || col.Hists != h {

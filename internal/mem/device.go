@@ -635,7 +635,7 @@ func (d *Device) Crash(at Cycle) {
 }
 
 // Release ends the device's life: every chunk of its store goes to the
-// pool the next storage's first writes take chunks from, and the store,
+// free list the next storage's first writes take chunks from, and the store,
 // its integrity state and the banks are dropped. Any later access panics
 // instead of reading chunks another storage now owns: a timed access finds
 // no bank, an untimed one no store. A second Release does nothing.

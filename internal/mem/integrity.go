@@ -182,7 +182,7 @@ func (s *Storage) integWrite(addr uint64, data []byte) {
 		}
 		slot := s.chunks.Ref(base)
 		if *slot == nil {
-			*slot = s.newChunk()
+			*slot = newChunk()
 		}
 		c := *slot
 		copy(c[off:off+n], data[:n])

@@ -15,13 +15,12 @@ import (
 // is dense near zero (physical frames are bump-allocated), so a lookup is
 // a few array indexations, and the table's MRU leaf memo makes the common
 // run of accesses to neighboring chunks a single indexation. Clear keeps
-// the table's nodes and its chunks, so a volatile device refilled after a
-// crash allocates nothing for the space it touched before; a released
-// storage hands its chunks to chunkPool, where any storage's first writes
-// find them.
+// the table's nodes, and Clear and a release hand the chunks to one
+// bounded free list (freeChunks) where any storage's first writes find
+// them, so a volatile device refilled after a crash, or the next system
+// after a closed one, allocates nothing for the space touched before.
 type Storage struct {
 	chunks radix.Table[*chunk]
-	spare  []*chunk // chunks Clear released, reused before allocating
 
 	// integ, when non-nil, switches Read/Write onto the integrity-mode
 	// paths (per-block checksums, dead-chunk poison; integrity.go).
@@ -91,7 +90,7 @@ func (s *Storage) Write(addr uint64, data []byte) {
 		slot := s.chunks.Ref(addr / storageChunk)
 		if *slot == nil {
 			//thynvm:allow-alloc lazy chunk allocation, once per touched chunk
-			*slot = s.newChunk()
+			*slot = newChunk()
 		}
 		copy((*slot)[off:], data)
 		return
@@ -106,7 +105,7 @@ func (s *Storage) Write(addr uint64, data []byte) {
 		slot := s.chunks.Ref(base)
 		if *slot == nil {
 			//thynvm:allow-alloc lazy chunk allocation, once per touched chunk
-			*slot = s.newChunk()
+			*slot = newChunk()
 		}
 		copy((*slot)[off:off+n], data[:n])
 		data = data[n:]
@@ -114,56 +113,75 @@ func (s *Storage) Write(addr uint64, data []byte) {
 	}
 }
 
-// chunkPool holds the chunks of released storages for reuse. A chunk
-// moves whole to one storage at a time and is zeroed before its first
-// write there, so no output depends on which storage, or which goroutine,
-// released it.
-//
-//thynvm:allow-concurrency a pool of released chunks; each chunk moves whole to one storage at a time
-var chunkPool sync.Pool
+// freeChunks is the free list of the chunks cleared and released storages
+// gave up, at most maxFreeChunks of them. A storage's first write to a
+// chunk takes the chunk freed last and zeroes it, so no output depends on
+// which storage, or which goroutine, freed it. Unlike a sync.Pool, the
+// list survives garbage collection, so how many chunks a run allocates
+// does not depend on when the collector runs.
+var (
+	//thynvm:allow-concurrency guards the free list every storage shares (see freeChunks)
+	freeMu     sync.Mutex
+	freeChunks []*chunk
+)
 
-// newChunk returns a zeroed chunk for a first write: one Clear released
-// if there is one, else one a released storage left in chunkPool, else a
-// new one.
-func (s *Storage) newChunk() *chunk {
+// maxFreeChunks bounds the free list at 48 MiB; a chunk freed past it goes
+// to the garbage collector. That holds every chunk one default-scale
+// system touches (the largest in perfbench micro holds 12,206), while an
+// unbounded list keeps the largest system's chunks, idle, for the rest of
+// the process: perfbench kv's peak RSS rose from about 200 MB to 240-261.
+const maxFreeChunks = 12 << 10
+
+// newChunk returns a zeroed chunk for a first write: the chunk freed last,
+// else a new one.
+func newChunk() *chunk {
+	//thynvm:allow-concurrency takes a whole freed chunk for one storage (see freeChunks)
+	freeMu.Lock()
 	var c *chunk
-	if k := len(s.spare) - 1; k >= 0 {
-		c = s.spare[k]
-		s.spare = s.spare[:k]
-	} else {
-		//thynvm:allow-concurrency takes a whole released chunk for this storage (see chunkPool)
-		c, _ = chunkPool.Get().(*chunk)
-		if c == nil {
-			return new(chunk)
-		}
+	if k := len(freeChunks) - 1; k >= 0 {
+		c = freeChunks[k]
+		freeChunks[k] = nil // the list no longer holds it
+		freeChunks = freeChunks[:k]
+	}
+	//thynvm:allow-concurrency see freeChunks
+	freeMu.Unlock()
+	if c == nil {
+		return new(chunk)
 	}
 	*c = chunk{}
 	return c
 }
 
-// release hands every chunk the storage holds, in its table and its spare
-// list, to chunkPool, and drops the table and the integrity state. The
-// storage must not be used afterwards.
-func (s *Storage) release() {
-	s.chunks.Scan(func(_ uint64, c *chunk) bool {
-		//thynvm:allow-concurrency returns a chunk no storage holds any more (see chunkPool)
-		chunkPool.Put(c)
+// freeTable appends the chunks of t, in ascending index order, to the
+// free list until it holds maxFreeChunks; the caller then clears or drops
+// t.
+func freeTable(t *radix.Table[*chunk]) {
+	//thynvm:allow-concurrency returns whole chunks no storage holds any more (see freeChunks)
+	freeMu.Lock()
+	t.Scan(func(_ uint64, c *chunk) bool {
+		if len(freeChunks) == maxFreeChunks {
+			return false
+		}
+		freeChunks = append(freeChunks, c)
 		return true
 	})
-	for _, c := range s.spare {
-		//thynvm:allow-concurrency returns a chunk no storage holds any more (see chunkPool)
-		chunkPool.Put(c)
-	}
+	//thynvm:allow-concurrency see freeChunks
+	freeMu.Unlock()
+}
+
+// release hands every chunk the storage holds to the free list and drops
+// the table and the integrity state. The storage must not be used
+// afterwards.
+func (s *Storage) release() {
+	freeTable(&s.chunks)
 	*s = Storage{}
 }
 
 // Clear discards all contents (a volatile device losing power). The
-// table's nodes and the chunks are kept for the writes that follow.
+// table's nodes are kept, and its chunks go to the free list, where the
+// writes that follow find them.
 func (s *Storage) Clear() {
-	s.chunks.Scan(func(_ uint64, c *chunk) bool {
-		s.spare = append(s.spare, c)
-		return true
-	})
+	freeTable(&s.chunks)
 	s.chunks.Clear()
 }
 

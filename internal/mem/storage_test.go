@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -213,10 +214,7 @@ func TestStorageClearKeepsChunks(t *testing.T) {
 // after that write of one byte, every other byte of the chunk reads zero.
 // Integrity mode takes chunks the same way.
 func TestReleasedChunksComeBackZeroed(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: a release stays where the next storage looks
 	for _, integrity := range []bool{false, true} {
-		for chunkPool.Get() != nil { // only the chunk released below is left
-		}
 		d := NewDevice(NVMSpec())
 		if integrity {
 			d.Storage().EnableIntegrity()
@@ -232,7 +230,7 @@ func TestReleasedChunksComeBackZeroed(t *testing.T) {
 		}
 		s.Write(storageChunk+5, []byte{0x42})
 		c, _ := s.chunks.Get(1)
-		if c != released && !raceEnabled { // the race build's pool drops items at random
+		if c != released {
 			t.Errorf("integrity=%v: the first write allocated a chunk instead of taking the released one", integrity)
 		}
 		want := make([]byte, storageChunk)
@@ -245,6 +243,63 @@ func TestReleasedChunksComeBackZeroed(t *testing.T) {
 		if fails := s.VerifyRange(0, 2*storageChunk); len(fails) != 0 {
 			t.Errorf("integrity=%v: a reused chunk fails its checksums at %#x", integrity, fails)
 		}
+	}
+}
+
+// TestFreeListAcrossGoroutines: storages on several goroutines at once
+// take chunks from the one free list, clear them back into it and release
+// them, and each reads exactly what it wrote over zeros. Run it with -race.
+func TestFreeListAcrossGoroutines(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			want := make([]byte, storageChunk)
+			got := make([]byte, storageChunk)
+			for life := 0; life < 50; life++ {
+				d := NewDevice(NVMSpec())
+				for round := 0; round < 2; round++ { // the second round refills cleared chunks
+					for c := uint64(0); c < 8; c++ {
+						d.Poke(c*storageChunk+uint64(g), []byte{byte(g + 1)})
+					}
+					clear(want)
+					want[g] = byte(g + 1)
+					for c := uint64(0); c < 8; c++ {
+						d.Peek(c*storageChunk, got)
+						if !bytes.Equal(got, want) {
+							t.Errorf("goroutine %d, life %d: chunk %d holds %d stale bytes", g, life, c, storageChunk-bytes.Count(got, []byte{0})-1)
+							return
+						}
+					}
+					d.Storage().Clear()
+				}
+				d.Release()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestFreeListBounded: a storage cleared with more chunks than the free
+// list may hold fills the list to maxFreeChunks and leaves the rest to the
+// collector.
+func TestFreeListBounded(t *testing.T) {
+	t.Cleanup(func() {
+		freeMu.Lock()
+		freeChunks = nil
+		freeMu.Unlock()
+	})
+	s := NewStorage()
+	for i := uint64(0); i < maxFreeChunks+8; i++ {
+		s.Write(i*storageChunk, []byte{1})
+	}
+	s.Clear()
+	freeMu.Lock()
+	n := len(freeChunks)
+	freeMu.Unlock()
+	if n != maxFreeChunks {
+		t.Errorf("free list holds %d chunks after a Clear of %d, want %d", n, maxFreeChunks+8, maxFreeChunks)
 	}
 }
 

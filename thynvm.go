@@ -172,16 +172,6 @@ type Options struct {
 	PTTEntries int
 	// Mode selects the checkpointing scheme (default ModeDual).
 	Mode Mode
-	// SwitchToPage and SwitchToBlock are the per-epoch store-count
-	// thresholds for migrating a page between the two checkpointing
-	// schemes. The paper's values (22 and 16) are calibrated for 10 ms
-	// epochs; when left zero they are scaled linearly to EpochLen
-	// (minimum 2 and 1), so scaled-down simulations keep the same
-	// stores-per-unit-time migration behavior.
-	SwitchToPage  int
-	SwitchToBlock int
-	// DisableCooperation turns off §3.4's scheme cooperation (ablation).
-	DisableCooperation bool
 	// NoCaches removes the CPU cache hierarchy (controller-level studies).
 	NoCaches bool
 	// Generations is the number of retained checkpoint generations for the
@@ -249,17 +239,13 @@ func NewSystem(kind SystemKind, opts Options) (*System, error) {
 		cfg.BTTEntries = opts.BTTEntries
 		cfg.PTTEntries = opts.PTTEntries
 		cfg.Mode = opts.Mode
-		cfg.Cooperation = !opts.DisableCooperation
-		cfg.SwitchToPage, cfg.SwitchToBlock = opts.SwitchToPage, opts.SwitchToBlock
-		if cfg.SwitchToPage == 0 {
-			cfg.SwitchToPage = scaleThreshold(22, opts.EpochLen, 10)
-		}
-		if cfg.SwitchToBlock == 0 {
-			cfg.SwitchToBlock = scaleThreshold(16, opts.EpochLen, 7)
-		}
-		if cfg.SwitchToBlock > cfg.SwitchToPage {
-			cfg.SwitchToBlock = cfg.SwitchToPage
-		}
+		// The migration thresholds: the paper's 22 and 16 stores per page
+		// per 10 ms epoch, scaled linearly to EpochLen with floors of 10 and
+		// 7, so scaled-down simulations keep the same stores-per-unit-time
+		// migration behavior. Page stays at or above block (22r >= 16r,
+		// 10 >= 7).
+		cfg.SwitchToPage = scaleThreshold(22, opts.EpochLen, 10)
+		cfg.SwitchToBlock = scaleThreshold(16, opts.EpochLen, 7)
 		cfg.Generations = opts.Generations
 		cfg.Integrity = opts.Integrity
 		ctrl, err = core.New(cfg)
